@@ -12,6 +12,9 @@
 // on the experiment-sized machine rather than the test one.
 //
 //   bench_fig7_performance [--threads 1,2,4,8] [--json BENCH_parallel.json]
+//
+// Flags are strict: an unknown flag, a stray positional argument, a flag
+// without its value or a --threads entry outside 1..kMaxThreads exits 2.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +28,8 @@
 
 namespace {
 
+/// Comma-separated worker counts; empty when any entry is not an integer
+/// in 1..kMaxThreads.
 std::vector<haccrg::u32> parse_thread_list(const char* arg) {
   std::vector<haccrg::u32> out;
   std::string s(arg);
@@ -32,10 +37,13 @@ std::vector<haccrg::u32> parse_thread_list(const char* arg) {
   while (pos < s.size()) {
     size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    const long v = std::strtol(s.substr(pos, comma - pos).c_str(), nullptr, 10);
-    if (v >= 1 && v <= static_cast<long>(haccrg::sim::SimConfig::kMaxThreads)) {
-      out.push_back(static_cast<haccrg::u32>(v));
-    }
+    const std::string item = s.substr(pos, comma - pos);
+    char* end = nullptr;
+    const long v = std::strtol(item.c_str(), &end, 10);
+    if (item.empty() || *end != '\0' || v < 1 ||
+        v > static_cast<long>(haccrg::sim::SimConfig::kMaxThreads))
+      return {};
+    out.push_back(static_cast<haccrg::u32>(v));
     pos = comma + 1;
   }
   return out;
@@ -48,14 +56,20 @@ int main(int argc, char** argv) {
 
   std::vector<u32> thread_counts = {1, 2, 4, 8};
   std::string json_path = "BENCH_parallel.json";
+  auto usage = [] {
+    std::fprintf(stderr, "usage: bench_fig7_performance [--threads 1,2,4,8] [--json FILE]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       thread_counts = parse_thread_list(argv[++i]);
+      if (thread_counts.empty()) return usage();
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      return usage();
     }
   }
-  if (thread_counts.empty()) thread_counts = {1};
 
   bench::print_header("Figure 7 — normalized execution time", "Figure 7");
 

@@ -5,7 +5,9 @@
 // kernel and as a geometric mean. This is the figure of merit for the
 // allocation-free hot-path work: the trace replayer proves the detection
 // math itself is cheap, so whatever the live path loses on top of it is
-// simulator overhead.
+// simulator overhead. Each kernel's Gpu construction time (`gpu_init_ms`)
+// is reported beside it: it is outside the timed launch and KIPS, but a
+// user pays it on every job.
 //
 //   bench_hotpath [--json BENCH_hotpath.json]
 //                 [--baseline scripts/perf_baseline.json]
@@ -54,6 +56,7 @@ struct KernelPoint {
   u64 cycles = 0;
   f64 wall_ms = 0.0;
   f64 kips = 0.0;
+  f64 gpu_init_ms = 0.0;
   f64 baseline_kips = 0.0;  ///< 0 when no baseline was given
 };
 
@@ -93,6 +96,7 @@ int main(int argc, char** argv) {
     pt.cycles = run.result.cycles;
     pt.wall_ms = run.wall_ms;
     pt.kips = run.kilocycles_per_sec;
+    pt.gpu_init_ms = run.gpu_init_ms;
     if (!baseline_text.empty()) {
       // Per-kernel baselines live as {"name": "X", ... "kips": N} entries.
       const size_t at = baseline_text.find("\"" + pt.name + "\"");
@@ -107,15 +111,16 @@ int main(int argc, char** argv) {
   const f64 baseline_geo =
       baseline_text.empty() ? 0.0 : json_number(baseline_text, "geomean_kips");
 
-  TablePrinter table({"Benchmark", "Cycles", "Wall ms", "KIPS", "Before", "Speedup"});
+  TablePrinter table(
+      {"Benchmark", "Cycles", "Gpu init ms", "Wall ms", "KIPS", "Before", "Speedup"});
   for (const KernelPoint& pt : points) {
-    table.add_row({pt.name, std::to_string(pt.cycles), TablePrinter::fmt(pt.wall_ms, 1),
-                   TablePrinter::fmt(pt.kips, 0),
+    table.add_row({pt.name, std::to_string(pt.cycles), TablePrinter::fmt(pt.gpu_init_ms, 2),
+                   TablePrinter::fmt(pt.wall_ms, 1), TablePrinter::fmt(pt.kips, 0),
                    pt.baseline_kips > 0.0 ? TablePrinter::fmt(pt.baseline_kips, 0) : "-",
                    pt.baseline_kips > 0.0 ? TablePrinter::fmt(pt.kips / pt.baseline_kips, 2)
                                           : "-"});
   }
-  table.add_row({"GEOMEAN", "-", "-", TablePrinter::fmt(geo, 0),
+  table.add_row({"GEOMEAN", "-", "-", "-", TablePrinter::fmt(geo, 0),
                  baseline_geo > 0.0 ? TablePrinter::fmt(baseline_geo, 0) : "-",
                  baseline_geo > 0.0 ? TablePrinter::fmt(geo / baseline_geo, 2) : "-"});
   table.print();
@@ -138,7 +143,8 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < points.size(); ++i) {
       const KernelPoint& pt = points[i];
       json << "    {\"name\": \"" << pt.name << "\", \"cycles\": " << pt.cycles
-           << ", \"wall_ms\": " << pt.wall_ms << ", \"kips\": " << pt.kips;
+           << ", \"wall_ms\": " << pt.wall_ms << ", \"kips\": " << pt.kips
+           << ", \"gpu_init_ms\": " << pt.gpu_init_ms;
       if (with_baseline && pt.baseline_kips > 0.0) {
         json << ", \"before_kips\": " << pt.baseline_kips
              << ", \"speedup\": " << pt.kips / pt.baseline_kips;

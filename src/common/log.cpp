@@ -1,9 +1,11 @@
 #include "common/log.hpp"
 
+#include <atomic>
+
 namespace haccrg {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+std::atomic<LogLevel> g_level{LogLevel::kWarn};
 const char* level_name(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug: return "DEBUG";
@@ -16,8 +18,8 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-LogLevel log_level() { return g_level; }
-void set_log_level(LogLevel level) { g_level = level; }
+LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
+void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
 
 namespace detail {
 void log_write(LogLevel level, const std::string& msg) {

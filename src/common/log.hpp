@@ -1,5 +1,6 @@
-// Minimal leveled logger. The simulator is single-threaded per run, so no
-// synchronization is needed; keep the hot path (disabled levels) branch-cheap.
+// Minimal leveled logger. The engine and the replay server run many
+// threads, so the threshold is a relaxed atomic (it guards no other data);
+// keep the hot path (disabled levels) branch-cheap.
 #pragma once
 
 #include <cstdio>

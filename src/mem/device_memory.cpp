@@ -3,13 +3,50 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+
+#include <sys/mman.h>
 
 namespace haccrg::mem {
 
+DeviceMemory::DeviceMemory(u32 bytes) {
+  if (bytes == 0) return;
+  // An anonymous mapping, not calloc: glibc serves a calloc from its heap
+  // (and then memsets it) once its mmap threshold has grown past the size,
+  // which would bring the zero-fill back for the smaller replay memories.
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) {
+    std::fprintf(stderr, "DeviceMemory: cannot map %u bytes\n", bytes);
+    std::abort();
+  }
+  data_ = static_cast<u8*>(p);
+  size_ = bytes;
+}
+
+DeviceMemory::~DeviceMemory() { release(); }
+
+DeviceMemory::DeviceMemory(DeviceMemory&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+
+DeviceMemory& DeviceMemory::operator=(DeviceMemory&& other) noexcept {
+  if (this != &other) {
+    release();
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+  }
+  return *this;
+}
+
+void DeviceMemory::release() {
+  if (data_ != nullptr) munmap(data_, size_);
+  data_ = nullptr;
+  size_ = 0;
+}
+
 void DeviceMemory::check(Addr addr, u32 bytes) const {
-  if (static_cast<u64>(addr) + bytes > data_.size()) {
-    std::fprintf(stderr, "DeviceMemory: out-of-bounds access at 0x%x (+%u), size 0x%zx\n", addr,
-                 bytes, data_.size());
+  if (static_cast<u64>(addr) + bytes > size_) {
+    std::fprintf(stderr, "DeviceMemory: out-of-bounds access at 0x%x (+%u), size 0x%x\n", addr,
+                 bytes, size_);
     std::abort();
   }
 }
@@ -27,40 +64,40 @@ void DeviceMemory::write_u8(Addr addr, u8 value) {
 u32 DeviceMemory::read_u32(Addr addr) const {
   check(addr & ~3u, 4);
   u32 v;
-  std::memcpy(&v, data_.data() + (addr & ~3u), 4);
+  std::memcpy(&v, data_ + (addr & ~3u), 4);
   return v;
 }
 
 void DeviceMemory::write_u32(Addr addr, u32 value) {
   check(addr & ~3u, 4);
-  std::memcpy(data_.data() + (addr & ~3u), &value, 4);
+  std::memcpy(data_ + (addr & ~3u), &value, 4);
 }
 
 u64 DeviceMemory::read_u64(Addr addr) const {
   check(addr & ~7u, 8);
   u64 v;
-  std::memcpy(&v, data_.data() + (addr & ~7u), 8);
+  std::memcpy(&v, data_ + (addr & ~7u), 8);
   return v;
 }
 
 void DeviceMemory::write_u64(Addr addr, u64 value) {
   check(addr & ~7u, 8);
-  std::memcpy(data_.data() + (addr & ~7u), &value, 8);
+  std::memcpy(data_ + (addr & ~7u), &value, 8);
 }
 
 void DeviceMemory::fill(Addr addr, u32 bytes, u8 value) {
   check(addr, bytes);
-  std::memset(data_.data() + addr, value, bytes);
+  std::memset(data_ + addr, value, bytes);
 }
 
 void DeviceMemory::copy_in(Addr dst, const void* src, u32 bytes) {
   check(dst, bytes);
-  std::memcpy(data_.data() + dst, src, bytes);
+  std::memcpy(data_ + dst, src, bytes);
 }
 
 void DeviceMemory::copy_out(void* dst, Addr src, u32 bytes) const {
   check(src, bytes);
-  std::memcpy(dst, data_.data() + src, bytes);
+  std::memcpy(dst, data_ + src, bytes);
 }
 
 Addr DeviceAllocator::alloc(u32 bytes, const std::string& name) {

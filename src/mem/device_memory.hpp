@@ -13,11 +13,22 @@
 namespace haccrg::mem {
 
 /// Byte-addressable device memory with bounds-checked accessors.
+///
+/// Storage is zero-on-demand: an anonymous private mapping whose pages
+/// the OS supplies zeroed on first touch. Construction writes nothing, so
+/// a launch's host memory and set-up time follow the pages the kernel,
+/// its buffers and the shadow region actually touch, not `size()`.
 class DeviceMemory {
  public:
-  explicit DeviceMemory(u32 bytes) : data_(bytes, 0) {}
+  explicit DeviceMemory(u32 bytes);
+  ~DeviceMemory();
 
-  u32 size() const { return static_cast<u32>(data_.size()); }
+  DeviceMemory(DeviceMemory&& other) noexcept;
+  DeviceMemory& operator=(DeviceMemory&& other) noexcept;
+  DeviceMemory(const DeviceMemory&) = delete;
+  DeviceMemory& operator=(const DeviceMemory&) = delete;
+
+  u32 size() const { return size_; }
 
   u8 read_u8(Addr addr) const;
   void write_u8(Addr addr, u8 value);
@@ -38,7 +49,10 @@ class DeviceMemory {
 
  private:
   void check(Addr addr, u32 bytes) const;
-  std::vector<u8> data_;
+  void release();
+
+  u8* data_ = nullptr;
+  u32 size_ = 0;
 };
 
 /// One named allocation made through the allocator (Table IV accounting).

@@ -91,7 +91,7 @@ struct KernelState {
   rd::DetectPolicy policy;
   TraceHeader built_for;  ///< header the state was sized by (arena matching)
   std::vector<std::unique_ptr<SmState>> sms;
-  std::unique_ptr<mem::DeviceMemory> memory;  ///< shadow region only
+  std::unique_ptr<mem::DeviceMemory> memory;  ///< heap + shadow span; only shadow is used
   std::unique_ptr<rd::RaceLog> log;
   std::unique_ptr<rd::GlobalRdu> global_rdu;
   std::unique_ptr<SwHaccrgReplay> sw;
@@ -107,8 +107,10 @@ struct KernelState {
     for (u32 s = 0; s < header.num_sms; ++s)
       sms.push_back(std::make_unique<SmState>(s, header, cfg, policy));
     if (opts.hw && cfg.enable_global) {
-      // Device memory here backs only the shadow region; application data
-      // is functional state the detectors never read.
+      // Device memory here is sized up to the top of the shadow region, so
+      // it also spans the application heap below shadow_base. Application
+      // data is functional state the detectors never read; the storage is
+      // zero-on-demand, so that untouched span costs no host memory.
       const u32 shadow_bytes =
           rd::GlobalRdu::shadow_bytes_for(begin.app_heap_bytes, cfg.global_granularity);
       memory = std::make_unique<mem::DeviceMemory>(begin.shadow_base + shadow_bytes + 8);

@@ -66,6 +66,14 @@ struct RaceExpectation {
   bool expect_global_race;
 };
 
+// Without a printer gtest dumps the raw bytes of the struct, including the
+// heap address held by `name`, into the listed test name; that address
+// changes with every process under ASLR, so test discovery would emit new
+// names on each build.
+void PrintTo(const RaceExpectation& e, std::ostream* os) {
+  *os << e.name << (e.expect_global_race ? " (global race expected)" : " (race-free)");
+}
+
 class BenchmarkRaces : public ::testing::TestWithParam<RaceExpectation> {};
 
 TEST_P(BenchmarkRaces, GlobalRacesMatchPaper) {

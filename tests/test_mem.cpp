@@ -3,6 +3,10 @@
 // channel, the interconnect pipes, and the memory partition.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <utility>
+
 #include "arch/config.hpp"
 #include "mem/cache.hpp"
 #include "mem/coalescer.hpp"
@@ -11,6 +15,7 @@
 #include "mem/interconnect.hpp"
 #include "mem/partition.hpp"
 #include "mem/shared_memory.hpp"
+#include "sim/gpu.hpp"
 
 namespace haccrg {
 namespace {
@@ -46,6 +51,74 @@ TEST(DeviceMemory, FillAndCopy) {
   u32 back[4] = {};
   memory.copy_out(back, 16, sizeof(back));
   for (int i = 0; i < 4; ++i) EXPECT_EQ(back[i], host[i]);
+}
+
+TEST(DeviceMemory, FreshMemoryReadsZeroEverywhere) {
+  const u32 bytes = 16u * 1024u * 1024u;
+  DeviceMemory memory(bytes);
+  EXPECT_EQ(memory.size(), bytes);
+  EXPECT_EQ(memory.read_u64(0), 0u);
+  EXPECT_EQ(memory.read_u64(bytes / 2), 0u);
+  EXPECT_EQ(memory.read_u64(bytes - 8), 0u);
+}
+
+TEST(DeviceMemory, FillAndCopyRoundTripAtBothEnds) {
+  const u32 bytes = 1u << 20;
+  DeviceMemory memory(bytes);
+  memory.fill(0, 64, 0x5a);
+  memory.fill(bytes - 64, 64, 0xa5);
+  EXPECT_EQ(memory.read_u64(0), 0x5a5a5a5a5a5a5a5aULL);
+  EXPECT_EQ(memory.read_u64(bytes - 8), 0xa5a5a5a5a5a5a5a5ULL);
+  EXPECT_EQ(memory.read_u8(64), 0u);  // just past the low fill
+  EXPECT_EQ(memory.read_u8(bytes - 65), 0u);  // just before the high fill
+
+  const u64 low[2] = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  const u64 high[2] = {0x1111222233334444ULL, 0x5555666677778888ULL};
+  memory.copy_in(0, low, sizeof(low));
+  memory.copy_in(bytes - sizeof(high), high, sizeof(high));
+  u64 back[2] = {};
+  memory.copy_out(back, 0, sizeof(back));
+  EXPECT_EQ(back[0], low[0]);
+  EXPECT_EQ(back[1], low[1]);
+  memory.copy_out(back, bytes - sizeof(back), sizeof(back));
+  EXPECT_EQ(back[0], high[0]);
+  EXPECT_EQ(back[1], high[1]);
+}
+
+TEST(DeviceMemory, MoveKeepsContents) {
+  const u32 bytes = 1u << 20;
+  DeviceMemory memory(bytes);
+  memory.write_u64(0, 42);
+  memory.write_u64(bytes - 8, 43);
+  DeviceMemory moved(std::move(memory));
+  EXPECT_EQ(moved.size(), bytes);
+  EXPECT_EQ(moved.read_u64(0), 42u);
+  EXPECT_EQ(moved.read_u64(bytes - 8), 43u);
+
+  DeviceMemory assigned(64);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), bytes);
+  EXPECT_EQ(assigned.read_u64(0), 42u);
+  EXPECT_EQ(assigned.read_u64(bytes - 8), 43u);
+}
+
+// Device memory is zero-on-demand: building a Table I GPU (64 MiB of
+// device memory) and reading its last word must not commit the whole
+// region. ru_maxrss is a high-water mark, and ctest runs each test in a
+// process of its own, so the delta is this GPU's footprint.
+TEST(DeviceMemory, TableOneGpuDoesNotCommitDeviceMemory) {
+  auto peak_kib = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<u64>(usage.ru_maxrss);
+  };
+  const u64 before = peak_kib();
+  {
+    sim::Gpu gpu(arch::GpuConfig{}, rd::HaccrgConfig{});
+    ASSERT_EQ(gpu.memory().size(), 64u * 1024u * 1024u);
+    EXPECT_EQ(gpu.memory().read_u64(gpu.memory().size() - 8), 0u);
+  }
+  EXPECT_LT(peak_kib() - before, 8u * 1024u);
 }
 
 TEST(Allocator, AlignsTo256AndTracksNames) {

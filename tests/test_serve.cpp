@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "fault/fault.hpp"
 #include "kernels/common.hpp"
 #include "serve/client.hpp"
@@ -57,7 +59,9 @@ rd::HaccrgConfig detection_combined() {
 /// Record one kernel and return the trace file image. `with_index`
 /// selects v2 (indexed) or v1 (linear-fallback) output.
 std::vector<u8> record_trace(const std::string& name, bool with_index, const std::string& tag) {
-  const std::string path = "test_serve_" + tag + ".trc";
+  // gtest_discover_tests runs every test in its own process, and each
+  // process records this fixture: the pid keeps `ctest -j` runs apart.
+  const std::string path = "test_serve_" + tag + "_" + std::to_string(getpid()) + ".trc";
   {
     sim::SimConfig sim_cfg;
     sim_cfg.trace_path = path;

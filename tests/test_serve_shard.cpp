@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "kernels/common.hpp"
 #include "kernels/injection.hpp"
 #include "sim/gpu.hpp"
@@ -45,7 +47,8 @@ rd::HaccrgConfig detection_combined() {
 /// Record `name` under `opts` and decode the whole trace.
 void record_decoded(const std::string& name, const BenchOptions& opts, const std::string& tag,
                     trace::DecodedTrace& out) {
-  const std::string path = "test_shard_" + tag + ".trc";
+  // Per-process name: ctest -j runs each test in its own process.
+  const std::string path = "test_shard_" + tag + "_" + std::to_string(getpid()) + ".trc";
   {
     sim::SimConfig sim_cfg;
     sim_cfg.trace_path = path;

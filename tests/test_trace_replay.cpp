@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/static_race.hpp"
 #include "kernels/common.hpp"
 #include "sim/gpu.hpp"
@@ -52,7 +54,10 @@ rd::HaccrgConfig detection_word() {
   return cfg;
 }
 
-std::string trace_file(const std::string& tag) { return "test_trace_" + tag + ".trc"; }
+/// Per-process name: ctest -j runs each test in its own process.
+std::string trace_file(const std::string& tag) {
+  return "test_trace_" + tag + "_" + std::to_string(getpid()) + ".trc";
+}
 
 /// Record `name` with tracing on; return the live result via `live_out`.
 void record(const std::string& name, const rd::HaccrgConfig& det, const BenchOptions& opts,

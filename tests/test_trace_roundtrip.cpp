@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "trace/format.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
@@ -456,7 +458,8 @@ TEST(TraceResync, RecoversAfterDamagedRecord) {
 }
 
 TEST(TraceWriterReader, FileRoundTrip) {
-  const std::string path = "test_trace_roundtrip.trc";
+  // Per-process name: ctest -j runs each test in its own process.
+  const std::string path = "test_trace_roundtrip_" + std::to_string(getpid()) + ".trc";
   const TraceHeader header = sample_header();
   Rng rng(5);
   std::vector<Event> events;
