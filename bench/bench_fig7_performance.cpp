@@ -15,13 +15,11 @@
 //
 // Flags are strict: an unknown flag, a stray positional argument, a flag
 // without its value or a --threads entry outside 1..kMaxThreads exits 2.
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -149,68 +147,6 @@ int main(int argc, char** argv) {
                 "reachable here and the sweep only demonstrates determinism + overhead.\n");
   }
 
-  // --- Commit-phase residue (profiled, single worker) -----------------
-  // How much of the former serial kCommit barrier still runs serially
-  // after the sharded split? Both the shard sweep (parallel over address
-  // shards) and the merge (parallel over SMs) scale with workers; only
-  // commit_serial — RaceLog/trace append and interconnect injection —
-  // is inherently ordered. Measured on one worker so the sub-phase wall
-  // times are pure work attribution (no barrier contention): the residue
-  // fraction is serial / (sharded + merge + serial), and the engine-wide
-  // Amdahl projection treats sm_cycle + partition + commit_sharded +
-  // commit_merge as the parallel portion. Valid on a 1-hardware-thread
-  // host precisely because nothing here needs real concurrency.
-  std::printf("\n=== Commit-phase serial residue (profiled, 1 worker) ===\n");
-  struct CommitProfile {
-    std::string name;
-    u64 sharded_ns = 0, merge_ns = 0, serial_ns = 0;
-    f64 residue = 0.0;
-  };
-  std::vector<CommitProfile> commit_profiles;
-  std::vector<f64> residue_fracs;
-  u64 eng_parallel_ns = 0, eng_serial_ns = 0;
-  TablePrinter commit_table({"Benchmark", "Sharded ns", "Merge ns", "Serial ns", "Residue"});
-  for (const auto& info : kernels::all_benchmarks()) {
-    sim::SimConfig prof_cfg;
-    prof_cfg.num_threads = 1;
-    prof_cfg.profile = true;
-    const bench::TimedRun run =
-        bench::run_benchmark_timed(info.name, bench::detection_combined(), {}, prof_cfg);
-    const StatSet& st = run.result.stats;
-    CommitProfile cp;
-    cp.name = info.name;
-    cp.sharded_ns = st.get("prof.commit_sharded.ns");
-    cp.merge_ns = st.get("prof.commit_merge.ns");
-    cp.serial_ns = st.get("prof.commit_serial.ns");
-    const u64 total = cp.sharded_ns + cp.merge_ns + cp.serial_ns;
-    cp.residue = total > 0 ? static_cast<f64>(cp.serial_ns) / static_cast<f64>(total) : 0.0;
-    residue_fracs.push_back(std::max(cp.residue, 1e-6));  // geomean needs > 0
-    eng_parallel_ns += st.get("prof.sm_cycle.ns") + st.get("prof.partition.ns") + cp.sharded_ns +
-                       cp.merge_ns;
-    eng_serial_ns += st.get("prof.trace_flush.ns") + st.get("prof.response.ns") + cp.serial_ns;
-    commit_table.add_row({cp.name, std::to_string(cp.sharded_ns), std::to_string(cp.merge_ns),
-                          std::to_string(cp.serial_ns), TablePrinter::fmt(cp.residue, 3)});
-    commit_profiles.push_back(std::move(cp));
-  }
-  const f64 residue_geomean = geomean(residue_fracs);
-  commit_table.add_row({"GEOMEAN", "-", "-", "-", TablePrinter::fmt(residue_geomean, 3)});
-  commit_table.print();
-  std::printf("\ncommit serial residue geomean: %.3f (target <= 0.25)\n", residue_geomean);
-  if (residue_geomean > 0.25) {
-    std::printf("WARNING: residue above target — the serial phase is eating the\n"
-                "parallel headroom the sharded split was supposed to create.\n");
-  }
-  std::printf("Amdahl projection (engine-wide, from sub-phase attribution):\n");
-  const f64 eng_total_ns = static_cast<f64>(eng_parallel_ns + eng_serial_ns);
-  std::vector<std::pair<u32, f64>> amdahl;
-  for (u32 n_workers : {2u, 4u, 8u, 16u}) {
-    const f64 projected =
-        eng_total_ns / (static_cast<f64>(eng_serial_ns) +
-                        static_cast<f64>(eng_parallel_ns) / static_cast<f64>(n_workers));
-    amdahl.emplace_back(n_workers, projected);
-    std::printf("  %2u workers: %.2fx\n", n_workers, projected);
-  }
-
   std::ofstream json(json_path, std::ios::trunc);
   if (json.good()) {
     json << "{\n  \"bench\": \"fig7_parallel_sweep\",\n";
@@ -226,24 +162,6 @@ int main(int argc, char** argv) {
            << ", \"oversubscribed\": "
            << ((hw_threads > 0 && pt.threads > hw_threads) ? "true" : "false") << "}"
            << (i + 1 < sweep.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n";
-    json << "  \"commit_residue_frac_geomean\": " << residue_geomean << ",\n";
-    json << "  \"commit_residue_target\": 0.25,\n";
-    json << "  \"commit_phase\": [\n";
-    for (size_t i = 0; i < commit_profiles.size(); ++i) {
-      const CommitProfile& cp = commit_profiles[i];
-      json << "    {\"name\": \"" << cp.name << "\", \"sharded_ns\": " << cp.sharded_ns
-           << ", \"merge_ns\": " << cp.merge_ns << ", \"serial_ns\": " << cp.serial_ns
-           << ", \"residue_frac\": " << cp.residue << "}"
-           << (i + 1 < commit_profiles.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n";
-    json << "  \"amdahl_projection\": [\n";
-    for (size_t i = 0; i < amdahl.size(); ++i) {
-      json << "    {\"workers\": " << amdahl[i].first
-           << ", \"projected_speedup\": " << amdahl[i].second << "}"
-           << (i + 1 < amdahl.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
     std::printf("wrote %s\n", json_path.c_str());

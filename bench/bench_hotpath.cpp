@@ -18,8 +18,11 @@
 // are embedded in the JSON as the "before" numbers and the speedup is
 // printed. With --max-regress R the process exits 1 when the measured
 // geomean KIPS falls more than R below the baseline's (the perf-smoke
-// gate). Set HACCRG_PROFILE=1 to append the engine's per-phase cycle
-// budget to the report.
+// gate).
+//
+// Flags are strict: an unknown flag, a stray positional argument, a flag
+// without its value or a --max-regress that is not a non-negative number
+// exits 2.
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -67,15 +70,28 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   std::string write_baseline_path;
   f64 max_regress = -1.0;
+  auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: bench_hotpath [--json FILE] [--baseline FILE] [--write-baseline FILE]\n"
+                 "                     [--max-regress R]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--max-regress") == 0 && i + 1 < argc) {
-      max_regress = std::strtod(argv[++i], nullptr);
+    if (i + 1 >= argc) return usage();  // every flag takes a value
+    const char* flag = argv[i];
+    const char* value = argv[++i];
+    if (std::strcmp(flag, "--json") == 0) {
+      json_path = value;
+    } else if (std::strcmp(flag, "--baseline") == 0) {
+      baseline_path = value;
+    } else if (std::strcmp(flag, "--write-baseline") == 0) {
+      write_baseline_path = value;
+    } else if (std::strcmp(flag, "--max-regress") == 0) {
+      char* end = nullptr;
+      max_regress = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !(max_regress >= 0.0)) return usage();
+    } else {
+      return usage();
     }
   }
 

@@ -221,10 +221,10 @@ if [[ $run_tsan == 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1" chaos_smoke build-tsan
   echo "--- static-soundness gate (TSan build, HACCRG_THREADS=2) ---"
   HACCRG_THREADS=2 TSAN_OPTIONS="halt_on_error=1" static_soundness build-tsan 1
-  # Second thread count for the sharded commit barrier: 4 workers split
-  # both the shard sweep and the per-SM merge differently than 2, so the
-  # determinism and commit-phase suites get a distinct interleaving
-  # schedule under TSan without re-running everything.
+  # Second thread count: 4 workers split the parallel SM and partition
+  # phases differently than 2, so the determinism and commit-phase
+  # suites get a distinct interleaving schedule under TSan without
+  # re-running everything.
   echo "--- targeted determinism/commit suites (TSan build, HACCRG_THREADS=4) ---"
   HACCRG_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \

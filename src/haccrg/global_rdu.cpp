@@ -24,30 +24,6 @@ GlobalShadowEntry GlobalRdu::entry_at(Addr app_addr) const {
   return GlobalShadowEntry::unpack(memory_->read_u64(shadow_base_ + granule * kEntryBytes));
 }
 
-CheckOutcome GlobalRdu::check_granule(u32 g, const AccessInfo& access, bool allow_faults,
-                                      Addr& entry_addr_out) {
-  entry_addr_out = shadow_base_ + g * kEntryBytes;
-  u64 raw = memory_->read_u64(entry_addr_out);
-  if (allow_faults && faults_ != nullptr) {
-    // Transient read-path flip: the corrupted word feeds this check,
-    // and persists only if the state machine writes the entry back.
-    u32 bit = 0;
-    if (faults_->global_shadow_flip(bit)) raw ^= u64{1} << bit;
-  }
-  GlobalShadowEntry entry = GlobalShadowEntry::unpack(raw);
-  AccessInfo granule_access = access;
-  granule_access.addr = g * granularity_;
-  // Stale-L1 qualification: only an L1 line filled before the granule's
-  // last write can serve stale data.
-  if (granule_access.l1_hit && granule_access.l1_fill_cycle >= last_write_[g]) {
-    granule_access.l1_hit = false;
-  }
-  if (granule_access.is_write) last_write_[g] = granule_access.cycle;
-  CheckOutcome out = check_global_access(entry, granule_access, policy_, fence_reader_);
-  if (out.entry_changed) memory_->write_u64(entry_addr_out, entry.pack());
-  return out;
-}
-
 void GlobalRdu::check(const AccessInfo& access, std::vector<Addr>& shadow_lines_out) {
   if (access.addr >= app_bytes_) return;  // outside the tracked heap
   const u32 first = access.addr / granularity_;
@@ -56,36 +32,33 @@ void GlobalRdu::check(const AccessInfo& access, std::vector<Addr>& shadow_lines_
     if (static_cast<u64>(g) * granularity_ >= app_bytes_) break;
     if (!shard_owns(static_cast<Addr>(g) * granularity_, shard_count_, shard_index_)) continue;
     ++checks_;
-    Addr entry_addr = 0;
-    CheckOutcome out = check_granule(g, access, /*allow_faults=*/true, entry_addr);
-    if (out.entry_changed) ++shadow_writes_;
+    const Addr entry_addr = shadow_base_ + g * kEntryBytes;
+    u64 raw = memory_->read_u64(entry_addr);
+    if (faults_ != nullptr) {
+      // Transient read-path flip: the corrupted word feeds this check,
+      // and persists only if the state machine writes the entry back.
+      u32 bit = 0;
+      if (faults_->global_shadow_flip(bit)) raw ^= u64{1} << bit;
+    }
+    GlobalShadowEntry entry = GlobalShadowEntry::unpack(raw);
+    AccessInfo granule_access = access;
+    granule_access.addr = g * granularity_;
+    // Stale-L1 qualification: only an L1 line filled before the
+    // granule's last write can serve stale data.
+    if (granule_access.l1_hit && granule_access.l1_fill_cycle >= last_write_[g]) {
+      granule_access.l1_hit = false;
+    }
+    if (granule_access.is_write) last_write_[g] = granule_access.cycle;
+    CheckOutcome out = check_global_access(entry, granule_access, policy_, fence_reader_);
+    if (out.entry_changed) {
+      memory_->write_u64(entry_addr, entry.pack());
+      ++shadow_writes_;
+    }
     if (out.race) {
       ++races_;
       log_->record(*out.race);
     }
     shadow_lines_out.push_back(entry_addr);
-  }
-}
-
-void GlobalRdu::check_sharded(const AccessInfo& access, u32 shard_count, u32 shard_index,
-                              u32 op_ord, u32 check_idx, CommitEffects& out) {
-  if (access.addr >= app_bytes_) return;
-  const u32 first = access.addr / granularity_;
-  const u32 last = (access.addr + access.size - 1) / granularity_;
-  for (u32 g = first; g <= last; ++g) {
-    if (static_cast<u64>(g) * granularity_ >= app_bytes_) break;
-    if (!shard_owns(static_cast<Addr>(g) * granularity_, shard_count, shard_index)) continue;
-    ++out.checks;
-    Addr entry_addr = 0;
-    // Faults are never rolled here: the engine routes fault campaigns
-    // through the serial commit path (see check_sharded's contract).
-    CheckOutcome res = check_granule(g, access, /*allow_faults=*/false, entry_addr);
-    if (res.entry_changed) ++out.shadow_writes;
-    if (res.race) {
-      ++out.races_found;
-      out.races.push_back({op_ord, check_idx, *res.race});
-    }
-    out.shadow.push_back({op_ord, entry_addr});
   }
 }
 

@@ -12,7 +12,6 @@
 
 #include "common/stats.hpp"
 #include "fault/fault.hpp"
-#include "haccrg/commit_effects.hpp"
 #include "haccrg/options.hpp"
 #include "haccrg/race.hpp"
 #include "haccrg/shadow.hpp"
@@ -25,9 +24,10 @@ class GlobalRdu {
   GlobalRdu(mem::DeviceMemory& memory, const HaccrgConfig& config, const DetectPolicy& policy,
             RaceLog& log, FenceIdReader fence_reader);
 
-  /// Arm fault injection (null = off). Checks run only in the serial
-  /// commit phase, so the injector's single global-shadow stream is
-  /// advanced in a deterministic cross-SM order.
+  /// Arm fault injection (null = off). Live checks run only in the
+  /// engine's serial commit (Sm::commit_epoch, SM-id order), so the
+  /// injector's single global-shadow stream is advanced in a
+  /// deterministic cross-SM order.
   void set_faults(fault::FaultInjector* faults) { faults_ = faults; }
 
   /// Reserve + zero the shadow region covering `app_bytes` of heap,
@@ -44,8 +44,9 @@ class GlobalRdu {
   /// allocating).
   static constexpr u32 kEntryBytes = 8;
 
-  /// Address-sharded replay (trace/replay.hpp): execute only granule
-  /// checks owned by shard `index` of `count` (see shard_of_addr).
+  /// Address-sharded trace replay (trace/replay.hpp, and through it the
+  /// haccrg-served workers): execute only granule checks owned by shard
+  /// `index` of `count` (see shard_of_addr).
   /// Skipped granules are untouched — no shadow read/write, no
   /// last_write_ update, no counters, no log record.
   void set_shard(u32 count, u32 index) {
@@ -58,27 +59,6 @@ class GlobalRdu {
   /// appended to `shadow_lines_out` for traffic injection.
   void check(const AccessInfo& access, std::vector<Addr>& shadow_lines_out);
 
-  /// Sharded-commit entry point (engine kCommitSharded phase): run the
-  /// granule checks of `access` that shard `shard_index` of `shard_count`
-  /// owns, appending race records, shadow entry addresses, and counter
-  /// deltas to `out` instead of touching the RaceLog or this unit's
-  /// counters. Concurrent calls are safe when their shard indices differ:
-  /// every mutation (shadow entry, last-write cycle) is confined to the
-  /// calling shard's granules, and `out` is per-shard. Not valid while
-  /// fault injection is armed — the global-shadow fault stream advances
-  /// in cross-SM check order, which only the serial path preserves (the
-  /// engine falls back to Sm::commit_epoch for fault campaigns).
-  void check_sharded(const AccessInfo& access, u32 shard_count, u32 shard_index, u32 op_ord,
-                     u32 check_idx, CommitEffects& out);
-
-  /// Fold one cycle's merged per-shard counter deltas back into this
-  /// unit's stats (serial kCommitMerge phase).
-  void add_commit_counters(u64 checks, u64 races, u64 shadow_writes) {
-    checks_ += checks;
-    races_ += races;
-    shadow_writes_ += shadow_writes;
-  }
-
   Addr shadow_base() const { return shadow_base_; }
   u32 shadow_bytes() const { return shadow_bytes_; }
   u64 checks() const { return checks_; }
@@ -89,13 +69,6 @@ class GlobalRdu {
   GlobalShadowEntry entry_at(Addr app_addr) const;
 
  private:
-  /// One granule's state-machine step, shared by the serial and sharded
-  /// entry points: shadow read (optionally fault-flipped), stale-L1
-  /// qualification, last-write update, state machine, shadow write-back.
-  /// Counter/record sinks are the caller's.
-  CheckOutcome check_granule(u32 g, const AccessInfo& access, bool allow_faults,
-                             Addr& entry_addr_out);
-
   mem::DeviceMemory* memory_;
   u32 granularity_;
   u32 shard_count_ = 1;

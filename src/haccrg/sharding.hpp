@@ -1,18 +1,14 @@
 // Granule shard ownership — the single home for the address-sharding
-// math shared by trace replay (src/trace/replay.cpp), the serving
-// workers (src/serve), and the live engine's sharded commit phase
-// (src/sim/engine.cpp). Detector state is confined per granule, so work
+// math shared by trace replay (src/trace/replay.cpp) and the serving
+// workers (src/serve). Detector state is confined per granule, so work
 // partitions cleanly by aligned 4 KiB address blocks: a granule never
-// spans a block (granularities are powers of two <= 4096), every
-// functional memory access lies inside one block (u8 always; u32/u64
-// accessors require natural alignment), and therefore the shard that
-// owns a block executes exactly the serial engine's effect sequence for
-// every address in it. Per-shard race sets and memory effects are
-// disjoint by construction, which is what makes both the sharded replay
-// and the sharded live commit byte-identical to serial for any shard
-// count. Shared addresses are SM-local and global addresses are heap
-// offsets; the two live in separate detector state, so one ownership
-// function serves both.
+// spans a block (granularities are powers of two <= 4096), so the shard
+// that owns a block executes exactly the serial replay's check sequence
+// for every granule in it. Per-shard race sets are disjoint by
+// construction, which is what makes the sharded replay byte-identical to
+// serial for any shard count. Shared addresses are SM-local and global
+// addresses are heap offsets; the two live in separate detector state,
+// so one ownership function serves both.
 #pragma once
 
 #include "common/types.hpp"

@@ -11,16 +11,7 @@ Engine::Engine(std::vector<std::unique_ptr<Sm>>& sms,
       // More workers than work units would only add barrier traffic.
       pool_(std::min(sim.num_threads,
                      std::max(static_cast<u32>(sms.size()), static_cast<u32>(partitions.size())))),
-      profiler_(sim.profile), tracing_(!sms.empty() && sms.front()->tracing()),
-      // The global-shadow fault stream advances in strict cross-SM check
-      // order, which only the serial commit preserves — fault campaigns
-      // take the legacy path. Results are identical either way for
-      // fault-free runs (the determinism suite sweeps both knobs).
-      use_sharded_(!sim.faults.any()),
-      shard_count_(sim.commit_shards != 0 ? sim.commit_shards : pool_.num_threads()) {
-  shard_queues_.resize(shard_count_);
-  ord_base_.resize(sms.size(), 0);
-}
+      profiler_(sim.profile), tracing_(!sms.empty() && sms.front()->tracing()) {}
 
 void Engine::sm_phase(void* ctx, u32 begin, u32 end) {
   Engine& self = *static_cast<Engine*>(ctx);
@@ -31,31 +22,6 @@ void Engine::sm_phase(void* ctx, u32 begin, u32 end) {
     while (self.icnt_->has_response(s, self.now_))
       sm.deliver(*self.icnt_->recv_response(s, self.now_), self.now_);
     sm.cycle(self.now_);
-  }
-}
-
-void Engine::commit_shard_phase(void* ctx, u32 begin, u32 end) {
-  Engine& self = *static_cast<Engine*>(ctx);
-  for (u32 shard = begin; shard < end; ++shard) {
-    rd::CommitEffects& fx = self.shard_queues_[shard];
-    fx.clear();
-    // Every shard walks all SMs in id order; within the shard's address
-    // set this reproduces the serial sweep's access order exactly, and
-    // op ordinals (ord_base + i) arrive strictly increasing, which the
-    // merge cursors rely on. The queue sizes recorded after each SM
-    // delimit that SM's slice for the parallel merge.
-    for (size_t s = 0; s < self.sms_->size(); ++s) {
-      (*self.sms_)[s]->commit_sharded(shard, self.shard_count_, self.ord_base_[s], fx);
-      fx.sm_race_end.push_back(static_cast<u32>(fx.races.size()));
-      fx.sm_shadow_end.push_back(static_cast<u32>(fx.shadow.size()));
-    }
-  }
-}
-
-void Engine::commit_merge_phase(void* ctx, u32 begin, u32 end) {
-  Engine& self = *static_cast<Engine*>(ctx);
-  for (u32 s = begin; s < end; ++s) {
-    (*self.sms_)[s]->commit_merge(self.shard_queues_, self.ord_base_[s]);
   }
 }
 
@@ -78,61 +44,9 @@ void Engine::step(Cycle now) {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kTraceFlush);
     for (auto& sm : *sms_) sm->flush_trace();
   }
-  if (use_sharded_) {
-    // Commit barrier, split three ways. The kCommitSharded scope runs
-    // every cycle (it owns the ordinal prefix sum); the merge and serial
-    // scopes open only on cycles with actual commit work, so idle cycles
-    // do not charge the scope's clock floor to the serial residue. The
-    // skip conditions — deferred-op count, staged race records, pending
-    // interconnect packets — are simulation state, identical for every
-    // worker/shard count, so the phase schedule stays deterministic.
-    u32 total_ops = 0;
-    {
-      PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kCommitSharded);
-      for (size_t s = 0; s < sms_->size(); ++s) {
-        ord_base_[s] = total_ops;
-        total_ops += (*sms_)[s]->deferred_count();
-      }
-      if (total_ops > 0) pool_.run(&Engine::commit_shard_phase, this, shard_count_);
-    }
-    if (total_ops > 0) {
-      PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kCommitMerge);
-      pool_.run(&Engine::commit_merge_phase, this, static_cast<u32>(sms_->size()));
-    }
-    bool serial_work = total_ops > 0 || icnt_->pending_requests() > 0;
-    if (!serial_work) {
-      for (auto& sm : *sms_) {
-        if (sm->has_staged_races()) {
-          serial_work = true;
-          break;
-        }
-      }
-    }
-    if (serial_work) {
-      PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kCommitSerial);
-      if (total_ops > 0) {
-        // Counter deltas are commutative sums; fold them once per cycle.
-        u64 checks = 0, races = 0, shadow = 0;
-        for (const rd::CommitEffects& fx : shard_queues_) {
-          checks += fx.checks;
-          races += fx.races_found;
-          shadow += fx.shadow_writes;
-        }
-        if (checks != 0 || races != 0 || shadow != 0) {
-          (*sms_)[0]->global_rdu()->add_commit_counters(checks, races, shadow);
-        }
-      }
-      // Idle SMs (no deferred ops, no staged issue-time race records)
-      // have nothing to commit; skipping the call keeps the serial
-      // residue proportional to actual traffic, not machine width.
-      for (auto& sm : *sms_) {
-        if (sm->deferred_count() != 0 || sm->has_staged_races()) sm->commit_serial();
-      }
-      icnt_->commit_requests(now);
-    }
-  } else {
+  {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kCommit);
-    for (auto& sm : *sms_) sm->commit_epoch(now);
+    for (auto& sm : *sms_) sm->commit_epoch();
     icnt_->commit_requests(now);
   }
   {

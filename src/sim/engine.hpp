@@ -5,42 +5,25 @@
 //   Phase 1 (parallel over SMs):        deliver responses, SM core cycle.
 //                                       All cross-SM effects are staged
 //                                       thread-confined inside the SM.
-//   Phase 2 (commit barrier):           split three ways —
-//     2a (parallel over address shards): Sm::commit_sharded — each shard
-//        worker sweeps every SM's deferred ops in SM-id order, executing
-//        only the functional effects and global-RDU granule checks its
-//        4 KiB-block shard owns, queuing races/shadow/counters into the
-//        shard's CommitEffects.
-//     2b (parallel over SMs):            Sm::commit_merge — each SM walks
-//        its own slice of every shard queue (delimited by the sm_*_end
-//        offsets the sweep recorded), gathers its race records back into
-//        serial order, and sends its kShadow packets. Packet staging,
-//        token counters, and scratch buffers are all SM-local, so this
-//        phase touches no shared state.
-//     2c (serial, SM-id order):          Sm::commit_serial — RaceLog
-//        appends (staged issue-time records first, then the merged
-//        global-RDU records), trace-event append, global-trace pushes;
-//        then the counter fold and one interconnect injection sweep.
-//        Fault campaigns fall back to the legacy single-phase
-//        Sm::commit_epoch (the global-shadow fault stream is order-
-//        dependent across SMs).
+//   Phase 2 (serial, SM-id order):      Sm::commit_epoch — race-log
+//                                       drain, functional replay of the
+//                                       deferred global ops, global-RDU
+//                                       checks, trace appends; then one
+//                                       fair interconnect injection sweep.
 //   Phase 3 (parallel over partitions): MemoryPartition::step — service
 //                                       requests, advance L2/DRAM, stage
 //                                       responses.
 //   Phase 4 (serial, partition order):  commit staged responses.
 //
 // The serial phases run in the same order the sequential engine's loops
-// used, and the sharded sub-phase partitions work by address (one owner
-// per 4 KiB block, per-address order preserved inside each shard), so
-// the interleaving of every shared-state mutation is identical for any
-// worker count AND any shard count — results are bit-identical by
-// construction, and the determinism test suite holds the engine to that.
+// used, so the interleaving of every shared-state mutation is identical
+// for any worker count — results are bit-identical by construction, and
+// the determinism test suite holds the engine to that.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "haccrg/commit_effects.hpp"
 #include "mem/interconnect.hpp"
 #include "mem/partition.hpp"
 #include "sim/profiler.hpp"
@@ -59,17 +42,12 @@ class Engine {
   void step(Cycle now);
 
   u32 num_threads() const { return pool_.num_threads(); }
-  /// Address shards the commit barrier is split into (== worker count
-  /// unless SimConfig::commit_shards pins it).
-  u32 commit_shards() const { return shard_count_; }
 
   /// Per-phase wall-clock accounting (no-ops unless SimConfig::profile).
   const PhaseProfiler& profiler() const { return profiler_; }
 
  private:
   static void sm_phase(void* ctx, u32 begin, u32 end);
-  static void commit_shard_phase(void* ctx, u32 begin, u32 end);
-  static void commit_merge_phase(void* ctx, u32 begin, u32 end);
   static void partition_phase(void* ctx, u32 begin, u32 end);
 
   std::vector<std::unique_ptr<Sm>>* sms_;
@@ -78,10 +56,6 @@ class Engine {
   WorkerPool pool_;
   PhaseProfiler profiler_;
   bool tracing_ = false;  ///< cached: skip the flush sweep when not recording
-  bool use_sharded_ = true;  ///< false for fault campaigns (serial fallback)
-  u32 shard_count_ = 1;
-  std::vector<rd::CommitEffects> shard_queues_;  ///< one per shard, reused
-  std::vector<u32> ord_base_;  ///< per-SM global op-ordinal prefix sum
   Cycle now_ = 0;
 };
 

@@ -15,22 +15,13 @@
 
 namespace haccrg::sim {
 
-/// The epoch phases plus the end-of-cycle scheduler work. The commit
-/// barrier is attributed at sub-phase granularity: kCommitSharded is the
-/// parallel detection/functional sweep, kCommitMerge the parallel
-/// per-SM gather/packet phase, kCommitSerial the ordered residue (log
-/// append, trace events, interconnect injection). kCommit is the legacy single-bucket
-/// serial commit, used only when fault injection forces the serial path;
-/// export_stats folds all four into the historical "prof.commit" total.
+/// The epoch phases plus the end-of-cycle scheduler work.
 enum class EnginePhase : u8 {
-  kSmCycle = 0,    ///< parallel SM phase (deliver + core cycle)
-  kTraceFlush,     ///< serial issue-event flush (tracing runs only)
-  kCommit,         ///< serial commit_epoch sweep (fault-campaign fallback)
-  kCommitSharded,  ///< parallel sharded detection + functional replay
-  kCommitMerge,    ///< parallel per-SM queue gather + kShadow packets
-  kCommitSerial,   ///< serial residue: log/trace append, interconnect commit
-  kPartition,      ///< parallel partition phase
-  kResponse,       ///< serial response commit
+  kSmCycle = 0,  ///< parallel SM phase (deliver + core cycle)
+  kTraceFlush,   ///< serial issue-event flush (tracing runs only)
+  kCommit,       ///< serial commit_epoch sweep + interconnect injection
+  kPartition,    ///< parallel partition phase
+  kResponse,     ///< serial response commit
   kCount,
 };
 
@@ -69,32 +60,15 @@ class PhaseProfiler {
   u64 ns(EnginePhase phase) const { return buckets_[static_cast<size_t>(phase)].ns; }
   u64 calls(EnginePhase phase) const { return buckets_[static_cast<size_t>(phase)].calls; }
 
-  /// Total commit-barrier time: the legacy serial bucket plus the three
-  /// sharded sub-phases. This IS the "prof.commit.ns" stat, so the old
-  /// kCommit total equals the sub-phase sum by construction — the
-  /// invariant test_commit_phases pins.
-  u64 commit_total_ns() const {
-    return ns(EnginePhase::kCommit) + ns(EnginePhase::kCommitSharded) +
-           ns(EnginePhase::kCommitMerge) + ns(EnginePhase::kCommitSerial);
-  }
-
   /// Export "prof.<phase>.ns" / "prof.<phase>.calls". Only meaningful
   /// when enabled; callers gate on enabled() to keep default stat sets
-  /// byte-identical to profiler-free builds. "prof.commit.*" stays the
-  /// whole-barrier total (legacy bucket + sub-phases) so dashboards keyed
-  /// on the old name keep reading the same quantity.
+  /// byte-identical to profiler-free builds.
   void export_stats(StatSet& stats) const {
     static constexpr std::array<std::string_view, static_cast<size_t>(EnginePhase::kCount)>
-        kNames{"sm_cycle",     "trace_flush",  "commit",        "commit_sharded",
-               "commit_merge", "commit_serial", "partition",    "response"};
+        kNames{"sm_cycle", "trace_flush", "commit", "partition", "response"};
     for (size_t p = 0; p < kNames.size(); ++p) {
-      const bool is_commit = p == static_cast<size_t>(EnginePhase::kCommit);
-      stats.add(std::string("prof.") + std::string(kNames[p]) + ".ns",
-                is_commit ? commit_total_ns() : buckets_[p].ns);
-      stats.add(std::string("prof.") + std::string(kNames[p]) + ".calls",
-                is_commit ? buckets_[p].calls +
-                                buckets_[static_cast<size_t>(EnginePhase::kCommitSharded)].calls
-                          : buckets_[p].calls);
+      stats.add(std::string("prof.") + std::string(kNames[p]) + ".ns", buckets_[p].ns);
+      stats.add(std::string("prof.") + std::string(kNames[p]) + ".calls", buckets_[p].calls);
     }
   }
 

@@ -29,29 +29,6 @@ Status parse_threads(const char* env, u32& out) {
   return Status();
 }
 
-/// Strict HACCRG_COMMIT_SHARDS parse: all-digit decimal in
-/// [0, kMaxCommitShards] (0 = auto, one shard per worker).
-Status parse_commit_shards(const char* env, u32& out) {
-  u64 value = 0;
-  const char* p = env;
-  if (*p == '\0') return Status::invalid_argument("HACCRG_COMMIT_SHARDS is empty");
-  for (; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      return Status::invalid_argument(
-          std::string("HACCRG_COMMIT_SHARDS is not a number: '") + env + "'");
-    }
-    value = value * 10 + static_cast<u64>(*p - '0');
-    if (value > SimConfig::kMaxCommitShards) break;
-  }
-  if (value > SimConfig::kMaxCommitShards) {
-    return Status::invalid_argument(
-        std::string("HACCRG_COMMIT_SHARDS must be in [0, ") +
-        std::to_string(SimConfig::kMaxCommitShards) + "], got '" + env + "'");
-  }
-  out = static_cast<u32>(value);
-  return Status();
-}
-
 }  // namespace
 
 SimConfig SimConfig::from_env() {
@@ -59,11 +36,6 @@ SimConfig SimConfig::from_env() {
   if (const char* env = std::getenv("HACCRG_THREADS")) {
     const long v = std::strtol(env, nullptr, 10);
     if (v > 0) cfg.num_threads = v > long{kMaxThreads} ? kMaxThreads : static_cast<u32>(v);
-  }
-  if (const char* env = std::getenv("HACCRG_COMMIT_SHARDS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0)
-      cfg.commit_shards = v > long{kMaxCommitShards} ? kMaxCommitShards : static_cast<u32>(v);
   }
   if (const char* env = std::getenv("HACCRG_TRACE"); env != nullptr && env[0] != '\0')
     cfg.trace_path = env;
@@ -86,9 +58,6 @@ Status SimConfig::parse_env(SimConfig& out) {
   SimConfig cfg;
   if (const char* env = std::getenv("HACCRG_THREADS")) {
     if (Status st = parse_threads(env, cfg.num_threads); !st.ok()) return st;
-  }
-  if (const char* env = std::getenv("HACCRG_COMMIT_SHARDS")) {
-    if (Status st = parse_commit_shards(env, cfg.commit_shards); !st.ok()) return st;
   }
   if (const char* env = std::getenv("HACCRG_TRACE"); env != nullptr && env[0] != '\0')
     cfg.trace_path = env;

@@ -1,7 +1,8 @@
 // Host-side simulation settings (as opposed to the modelled GPU's
 // arch::GpuConfig): how the simulator itself runs. `num_threads` selects
 // the parallel epoch engine; results are bit-identical for any value
-// because all cross-SM effects are committed at deterministic barriers.
+// because all cross-SM effects are committed serially, in SM-id order,
+// at each cycle's barrier.
 #pragma once
 
 #include <string>
@@ -29,12 +30,6 @@ struct SimConfig {
   /// fallback.
   bool trace_index = false;
 
-  /// Address shards for the parallel commit phase (engine kCommitSharded).
-  /// 0 == auto: one shard per engine worker. Any value yields bit-identical
-  /// results — the merge phase re-establishes the serial effect order —
-  /// so this is a performance knob, not a semantic one.
-  u32 commit_shards = 0;
-
   /// Per-phase engine profiling (src/sim/profiler.hpp). When on, runs
   /// export "prof.*" wall-clock stats; off by default so golden stat
   /// sets stay free of host-time noise.
@@ -46,10 +41,8 @@ struct SimConfig {
   fault::FaultPlan faults;
 
   static constexpr u32 kMaxThreads = 64;
-  static constexpr u32 kMaxCommitShards = 256;
 
   /// Reads HACCRG_THREADS (clamped to [1, kMaxThreads]; defaults to 1),
-  /// HACCRG_COMMIT_SHARDS (clamped to [0, kMaxCommitShards]; 0 = auto),
   /// HACCRG_TRACE (trace output path; defaults to no tracing),
   /// HACCRG_TRACE_INDEX (any non-empty value but "0" records indexed v2
   /// traces),

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "haccrg/sharding.hpp"
-
 namespace haccrg::sim {
 
 using isa::AtomicOp;
@@ -221,7 +219,7 @@ void Sm::send_packet(mem::Packet pkt) {
   env_.icnt->stage_request(sm_id_, std::move(pkt));
 }
 
-void Sm::commit_epoch(Cycle now) {
+void Sm::commit_epoch() {
   // Race records first: within one SM-cycle the sequential engine logs
   // the issue-time records (intra-warp WAW, shared RDU) before any
   // global RDU check fires, and only one instruction issues per cycle,
@@ -234,124 +232,6 @@ void Sm::commit_epoch(Cycle now) {
   // icnt.commit_requests(now) sweep after every SM has committed —
   // per-SM greedy injection here would let low-id SMs starve high-id
   // ones under contention.
-  (void)now;
-}
-
-void Sm::commit_sharded(u32 shard_index, u32 shard_count, u32 ord_base, rd::CommitEffects& out) {
-  for (u32 i = 0; i < deferred_count_; ++i) {
-    DeferredGlobalOp& op = deferred_[i];
-    WarpContext& warp = warps_[op.warp_slot];
-    // Functional lane effects for the addresses this shard owns, in lane
-    // order. All accesses to one address land in one shard, and every
-    // shard walks SMs/ops/lanes in the serial order, so the per-address
-    // access order — and therefore the final memory and register state —
-    // matches the sequential replay exactly. Register writes are safe in
-    // parallel: one op per SM per cycle, distinct lanes, flat reg array.
-    for (const DeferredGlobalOp::Lane& lane : op.lanes) {
-      if (!rd::shard_owns(lane.addr, shard_count, shard_index)) continue;
-      if (op.is_atomic) {
-        const u32 old = env_.memory->read_u32(lane.addr);
-        env_.memory->write_u32(lane.addr,
-                               apply_atomic(op.atomic_op, old, lane.operand, lane.compare));
-        warp.reg(op.dst, lane.lane) = old;
-      } else if (op.is_store) {
-        if (op.width == 1)
-          env_.memory->write_u8(lane.addr, static_cast<u8>(lane.operand));
-        else
-          env_.memory->write_u32(lane.addr, lane.operand);
-      } else {
-        warp.reg(op.dst, lane.lane) =
-            op.width == 1 ? env_.memory->read_u8(lane.addr) : env_.memory->read_u32(lane.addr);
-      }
-    }
-    if (env_.global_rdu == nullptr) continue;
-    for (u32 c = 0; c < op.checks.size(); ++c) {
-      env_.global_rdu->check_sharded(op.checks[c], shard_count, shard_index, ord_base + i, c, out);
-    }
-  }
-}
-
-void Sm::commit_merge(const std::vector<rd::CommitEffects>& shards, u32 ord_base) {
-  merged_races_.clear();
-  if (deferred_count_ == 0 || env_.global_rdu == nullptr) return;
-  const u32 num_shards = static_cast<u32>(shards.size());
-  merge_race_cur_.resize(num_shards);
-  merge_shadow_cur_.resize(num_shards);
-  for (u32 s = 0; s < num_shards; ++s) {
-    merge_race_cur_[s] = sm_id_ == 0 ? 0 : shards[s].sm_race_end[sm_id_ - 1];
-    merge_shadow_cur_[s] = sm_id_ == 0 ? 0 : shards[s].sm_shadow_end[sm_id_ - 1];
-  }
-  for (u32 i = 0; i < deferred_count_; ++i) {
-    DeferredGlobalOp& op = deferred_[i];
-    if (op.checks.empty()) continue;
-    const u32 ord = ord_base + i;
-    scratch_shadow_.clear();
-    const size_t race_begin = merged_races_.size();
-    // Pull this op's entries from every shard queue. Each queue slice is
-    // ordered by op ordinal (the shard sweep walks ops in order), so a
-    // cursor per shard suffices.
-    for (u32 s = 0; s < num_shards; ++s) {
-      const rd::CommitEffects& fx = shards[s];
-      u32& rc = merge_race_cur_[s];
-      while (rc < fx.sm_race_end[sm_id_] && fx.races[rc].op_ord == ord) {
-        merged_races_.push_back(&fx.races[rc]);
-        ++rc;
-      }
-      u32& sc = merge_shadow_cur_[s];
-      while (sc < fx.sm_shadow_end[sm_id_] && fx.shadow[sc].op_ord == ord) {
-        scratch_shadow_.push_back(fx.shadow[sc].entry_addr);
-        ++sc;
-      }
-    }
-    if (merged_races_.size() > race_begin) {
-      // Serial replay order: checks in issue order, granules ascending
-      // within a check. Granule addresses are unique per (op, check)
-      // across shards — each granule has one owner — so the key is total.
-      std::sort(merged_races_.begin() + static_cast<ptrdiff_t>(race_begin), merged_races_.end(),
-                [](const rd::CommitEffects::QueuedRace* a, const rd::CommitEffects::QueuedRace* b) {
-                  if (a->check_idx != b->check_idx) return a->check_idx < b->check_idx;
-                  return a->record.granule_addr < b->record.granule_addr;
-                });
-    }
-    // Shadow traffic, identical to replay(): the per-op sort + line dedup
-    // canonicalizes whatever order the shards queued the entry addresses
-    // in, so the packet sequence (and token assignment) matches serial.
-    if (scratch_shadow_.empty()) continue;
-    std::sort(scratch_shadow_.begin(), scratch_shadow_.end());
-    Addr last_line = ~Addr{0};
-    for (Addr shadow_addr : scratch_shadow_) {
-      const Addr line = shadow_addr & ~(env_.gpu->l2_line - 1);
-      if (line == last_line) continue;
-      last_line = line;
-      mem::Packet pkt;
-      pkt.kind = mem::PacketKind::kShadow;
-      pkt.addr = line;
-      pkt.bytes = env_.gpu->l2_line;
-      pkt.warp_slot = op.warp_slot;
-      pkt.shadow_write = true;
-      send_packet(std::move(pkt));
-    }
-  }
-}
-
-void Sm::commit_serial() {
-  // Issue-time records (intra-warp WAW, shared RDU) drain before this
-  // SM's global-RDU records, exactly as commit_epoch orders them; the
-  // merged records are already in serial per-op order.
-  if (!race_staging_.empty()) race_staging_.drain_into(*env_.race_log);
-  if (!merged_races_.empty()) {
-    for (const rd::CommitEffects::QueuedRace* r : merged_races_) env_.race_log->record(r->record);
-    merged_races_.clear();
-  }
-  if (env_.trace != nullptr || env_.global_trace != nullptr) {
-    for (u32 i = 0; i < deferred_count_; ++i) {
-      DeferredGlobalOp& op = deferred_[i];
-      if (op.has_trace_event && env_.trace != nullptr) env_.trace->write_event(op.trace_event);
-      if (env_.global_trace != nullptr)
-        for (Addr addr : op.trace_addrs) env_.global_trace->push_back(addr);
-    }
-  }
-  deferred_count_ = 0;
 }
 
 Sm::DeferredGlobalOp& Sm::acquire_deferred() {

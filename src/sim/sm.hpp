@@ -80,50 +80,9 @@ class Sm {
   void cycle(Cycle now);
 
   /// End-of-cycle barrier (serial, engine calls SMs in id order): drain
-  /// staged race records, replay deferred global-memory work, and push
-  /// this SM's staged packets into the interconnect. This is the legacy
-  /// single-phase commit; the engine uses it only for fault campaigns,
-  /// whose global-shadow fault stream must advance in strict cross-SM
-  /// check order. Everything else goes through the three-way split below.
-  void commit_epoch(Cycle now);
-
-  // --- Sharded commit (engine kCommit* sub-phases) --------------------------
-  //
-  // The serial commit_epoch is split into three calls whose combined
-  // effect is byte-identical to it:
-  //
-  //   commit_sharded  (parallel, one call per shard) — functional lane
-  //                   effects and global-RDU granule checks for the
-  //                   addresses shard `shard_index` of `shard_count`
-  //                   owns (haccrg/sharding.hpp). Safe to run
-  //                   concurrently for distinct shards: a granule and
-  //                   every byte a functional access touches live in one
-  //                   4 KiB block, so two shards never write the same
-  //                   memory, shadow entry, or warp register. Races and
-  //                   shadow-entry addresses queue into `out` tagged with
-  //                   (op_ord, check_idx) instead of touching the log.
-  //   commit_merge    (parallel, one call per SM) — gather this SM's
-  //                   slice of every shard queue: re-sort each op's race
-  //                   records into the serial log order (buffered in
-  //                   merged_races_, the log itself is untouched) and
-  //                   send the op's deduped kShadow packets. Touches only
-  //                   SM-local state (scratch buffers, token counter, the
-  //                   per-SM interconnect staging queue), so SMs merge
-  //                   concurrently.
-  //   commit_serial   (serial, SM-id order) — the residue: drain
-  //                   issue-time race staging, append the buffered race
-  //                   records to the log, trace-event append and
-  //                   global-trace pushes, release the deferred-op pool.
-  //
-  /// Deferred ops staged this cycle (the engine's op-ordinal prefix sum).
-  u32 deferred_count() const { return deferred_count_; }
-  /// Issue-time race records awaiting the serial drain (lets the engine
-  /// skip the commit_serial call for fully idle SMs).
-  bool has_staged_races() const { return !race_staging_.empty(); }
-  rd::GlobalRdu* global_rdu() const { return env_.global_rdu; }
-  void commit_sharded(u32 shard_index, u32 shard_count, u32 ord_base, rd::CommitEffects& out);
-  void commit_merge(const std::vector<rd::CommitEffects>& shards, u32 ord_base);
-  void commit_serial();
+  /// staged race records and replay deferred global-memory work. The
+  /// staged packets stay queued for the engine's interconnect sweep.
+  void commit_epoch();
 
   /// Write this SM's staged issue-phase trace events. Called serially in
   /// SM-id order between the parallel SM phase and the commit loop, so
@@ -264,14 +223,6 @@ class Sm {
   rd::RaceStaging race_staging_;
   std::vector<DeferredGlobalOp> deferred_;
   u32 deferred_count_ = 0;
-  // Sharded-commit merge state: per-shard slice cursors and the cycle's
-  // race records in serial log order, buffered between commit_merge
-  // (parallel) and commit_serial (which appends them to the log). The
-  // pointers target shard-queue entries, which are stable between the
-  // two phases.
-  std::vector<u32> merge_race_cur_;
-  std::vector<u32> merge_shadow_cur_;
-  std::vector<const rd::CommitEffects::QueuedRace*> merged_races_;
   std::vector<trace::Event> trace_staged_;  ///< issue-phase events this cycle
 
   // Scratch buffers reused across instructions to avoid per-issue churn.

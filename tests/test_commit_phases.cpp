@@ -1,16 +1,14 @@
-// The sharded commit's accounting contracts:
+// The engine's accounting contracts:
 //  - WorkerPool::chunk_bounds hands out balanced contiguous chunks (the
 //    10-jobs-over-4-workers case that motivated replacing the ceil-chunk
 //    split), covers [0, count) exactly, and never overlaps.
-//  - PhaseProfiler exports "prof.commit.*" as the whole commit barrier:
-//    on the sharded path the legacy kCommit bucket stays empty and the
-//    three sub-phases sum to the commit total, with one call per engine
-//    step; on the fault-campaign fallback the sub-phases stay empty and
-//    the legacy bucket carries everything.
-//  - SimConfig reads HACCRG_COMMIT_SHARDS (lenient clamp + strict parse).
+//  - PhaseProfiler exports "prof.commit.*" as the one serial commit
+//    barrier, opened once per engine step whether or not a fault plan is
+//    armed.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "kernels/common.hpp"
@@ -80,7 +78,7 @@ TEST(ChunkBounds, FewerJobsThanWorkersLeavesTailIdle) {
   EXPECT_EQ(busy, 3u);
 }
 
-// --- Profiler sub-phase accounting -------------------------------------------
+// --- Commit profile ----------------------------------------------------------
 
 arch::GpuConfig test_gpu() {
   arch::GpuConfig cfg;
@@ -103,104 +101,31 @@ sim::SimResult profiled_run(const sim::SimConfig& sim) {
   return gpu.launch(prep.launch());
 }
 
-TEST(CommitPhaseProfile, SubPhasesSumToCommitTotal) {
-  sim::SimConfig sim;
-  sim.num_threads = 2;
-  sim.profile = true;
-  const sim::SimResult r = profiled_run(sim);
-  ASSERT_TRUE(r.completed) << r.error;
-
-  const u64 sharded = r.stats.get("prof.commit_sharded.ns");
-  const u64 merge = r.stats.get("prof.commit_merge.ns");
-  const u64 serial = r.stats.get("prof.commit_serial.ns");
-  // Sharded path: legacy bucket untouched, so the exported commit total
-  // is exactly the sub-phase sum.
-  EXPECT_EQ(r.stats.get("prof.commit.ns"), sharded + merge + serial);
-  EXPECT_GT(sharded + merge + serial, 0u);
-
-  // The sharded scope opens every engine step (it owns the ordinal
-  // prefix sum); merge and serial open only on cycles with commit work,
-  // so their call counts are bounded by — and on a busy kernel below —
-  // the step count. The step loop runs once per cycle plus the final
-  // drain step, and the exported commit.calls tracks the sharded scope.
-  const u64 steps = r.cycles + 1;
-  EXPECT_EQ(r.stats.get("prof.commit_sharded.calls"), steps);
-  EXPECT_EQ(r.stats.get("prof.commit.calls"), steps);
-  const u64 merge_calls = r.stats.get("prof.commit_merge.calls");
-  const u64 serial_calls = r.stats.get("prof.commit_serial.calls");
-  EXPECT_GT(merge_calls, 0u);
-  // Every merge cycle has deferred ops, hence serial work too.
-  EXPECT_LE(merge_calls, serial_calls);
-  EXPECT_LE(serial_calls, steps);
-}
-
-TEST(CommitPhaseProfile, FaultCampaignUsesLegacySerialBucket) {
-  sim::SimConfig sim;
-  sim.num_threads = 2;
-  sim.profile = true;
-  sim.faults.seed = 7;
-  sim.faults.set_rate(fault::FaultSite::kGlobalShadowFlip, 2000);
-  const sim::SimResult r = profiled_run(sim);
-  ASSERT_TRUE(r.completed) << r.error;
-
-  // The order-dependent fault stream forces the serial fallback: the
-  // sub-phase buckets never run and the legacy bucket carries the whole
-  // barrier.
-  EXPECT_EQ(r.stats.get("prof.commit_sharded.calls"), 0u);
-  EXPECT_EQ(r.stats.get("prof.commit_merge.calls"), 0u);
-  EXPECT_EQ(r.stats.get("prof.commit_serial.calls"), 0u);
-  EXPECT_EQ(r.stats.get("prof.commit.calls"), r.cycles + 1);
-  EXPECT_GT(r.stats.get("prof.commit.ns"), 0u);
-}
-
-TEST(CommitPhaseProfile, FaultCampaignIsShardCountInvariant) {
-  // The serial fallback makes the shard knob inert under faults: the
-  // injected stream is order-dependent, so a campaign must produce
-  // bit-identical detection results whatever HACCRG_COMMIT_SHARDS says.
-  // Guards against a future "fast path for low fault rates" silently
-  // reintroducing shard-dependent fault placement.
-  u64 reference = 0;
-  bool have_reference = false;
-  for (const u32 shards : {1u, 2u, 8u}) {
-    sim::SimConfig sim;
-    sim.num_threads = 2;
-    sim.commit_shards = shards;
-    sim.faults.seed = 11;
-    sim.faults.set_rate(fault::FaultSite::kGlobalShadowFlip, 2000);
-    sim.faults.set_rate(fault::FaultSite::kIcntDelay, 1000);
+TEST(CommitPhaseProfile, OneSerialBucketWithAndWithoutFaults) {
+  sim::SimConfig fault_free;
+  fault_free.num_threads = 2;
+  fault_free.profile = true;
+  sim::SimConfig faulty = fault_free;
+  faulty.faults.seed = 7;
+  faulty.faults.set_rate(fault::FaultSite::kGlobalShadowFlip, 2000);
+  for (const sim::SimConfig& sim : {fault_free, faulty}) {
+    const std::string label = sim.faults.any() ? "fault plan" : "fault-free";
     const sim::SimResult r = profiled_run(sim);
-    ASSERT_TRUE(r.completed) << "shards=" << shards << ": " << r.error;
-    const u64 fp = r.stats.fingerprint();
-    if (!have_reference) {
-      reference = fp;
-      have_reference = true;
-    } else {
-      EXPECT_EQ(fp, reference) << "shards=" << shards
-                               << ": fault campaign diverged from shards=1";
+    ASSERT_TRUE(r.completed) << label << ": " << r.error;
+    // The step loop runs once per cycle plus the final drain step, and
+    // every step opens the commit scope exactly once.
+    EXPECT_EQ(r.stats.get("prof.commit.calls"), r.cycles + 1) << label;
+    EXPECT_GT(r.stats.get("prof.commit.ns"), 0u) << label;
+    // The commit is one bucket: the only "prof.commit*" keys exported
+    // are its own pair, with no sub-phase buckets beside them.
+    std::istringstream exported(r.stats.serialize());
+    std::set<std::string> commit_keys;
+    for (std::string key, value; exported >> key >> value;) {
+      if (key.rfind("prof.commit", 0) == 0) commit_keys.insert(key);
     }
+    EXPECT_EQ(commit_keys, (std::set<std::string>{"prof.commit.calls", "prof.commit.ns"}))
+        << label;
   }
-}
-
-// --- HACCRG_COMMIT_SHARDS plumbing -------------------------------------------
-
-TEST(CommitShardsEnv, LenientAndStrictParse) {
-  ASSERT_EQ(setenv("HACCRG_COMMIT_SHARDS", "8", 1), 0);
-  EXPECT_EQ(sim::SimConfig::from_env().commit_shards, 8u);
-  sim::SimConfig strict;
-  EXPECT_TRUE(sim::SimConfig::parse_env(strict).ok());
-  EXPECT_EQ(strict.commit_shards, 8u);
-
-  // Lenient entry point clamps an oversized value; strict rejects it.
-  ASSERT_EQ(setenv("HACCRG_COMMIT_SHARDS", "100000", 1), 0);
-  EXPECT_EQ(sim::SimConfig::from_env().commit_shards, sim::SimConfig::kMaxCommitShards);
-  EXPECT_FALSE(sim::SimConfig::parse_env(strict).ok());
-
-  ASSERT_EQ(setenv("HACCRG_COMMIT_SHARDS", "abc", 1), 0);
-  EXPECT_EQ(sim::SimConfig::from_env().commit_shards, 0u);  // ignored -> auto
-  EXPECT_FALSE(sim::SimConfig::parse_env(strict).ok());
-
-  ASSERT_EQ(unsetenv("HACCRG_COMMIT_SHARDS"), 0);
-  EXPECT_EQ(sim::SimConfig::from_env().commit_shards, 0u);
 }
 
 }  // namespace

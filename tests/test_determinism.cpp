@@ -1,12 +1,10 @@
 // Determinism harness for the parallel epoch engine: for every registry
 // kernel (and the full injection campaign), running under any worker
-// thread count {1, 2, 8} crossed with any commit shard count {1, 2, 8}
-// must produce byte-identical results — cycle counts, the full
-// serialized stat set, and the exact race list — across three different
-// workload seeds. The engine commits all cross-SM effects at per-cycle
-// barriers in SM-id order, and the sharded commit's merge re-creates the
-// serial effect order exactly, so any divergence here is a bug in that
-// staging/merging, not acceptable jitter.
+// thread count {1, 2, 8} must produce byte-identical results — cycle
+// counts, the full serialized stat set, and the exact race list — across
+// three different workload seeds. The engine commits all cross-SM
+// effects at per-cycle barriers in SM-id order, so any divergence here
+// is a bug in that staging, not acceptable jitter.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -62,10 +60,9 @@ std::string race_signature(const rd::RaceLog& log) {
 }
 
 Signature run_once(const std::string& name, u32 num_threads, u32 seed,
-                   const fault::FaultPlan& faults = {}, u32 commit_shards = 0) {
+                   const fault::FaultPlan& faults = {}) {
   sim::SimConfig sim;
   sim.num_threads = num_threads;
-  sim.commit_shards = commit_shards;
   sim.faults = faults;
   sim::Gpu gpu(test_gpu(), detection_combined(), sim);
   BenchOptions opts;
@@ -87,23 +84,19 @@ Signature run_once(const std::string& name, u32 num_threads, u32 seed,
 
 class Determinism : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(Determinism, ThreadAndShardCountsAreInvisible) {
+TEST_P(Determinism, ThreadCountIsInvisible) {
   const std::string name = GetParam();
   for (u32 seed : {0u, 1u, 2u}) {
-    const Signature base = run_once(name, 1, seed, {}, 1);
+    const Signature base = run_once(name, 1, seed);
     ASSERT_TRUE(base.completed) << base.error;
-    for (u32 threads : {1u, 2u, 8u}) {
-      for (u32 shards : {1u, 2u, 8u}) {
-        if (threads == 1 && shards == 1) continue;  // that's the base run
-        const Signature par = run_once(name, threads, seed, {}, shards);
-        ASSERT_TRUE(par.completed) << par.error;
-        const std::string cfg = name + " seed " + std::to_string(seed) + ": drift at " +
-                                std::to_string(threads) + " threads / " +
-                                std::to_string(shards) + " shards";
-        EXPECT_EQ(base.cycles, par.cycles) << cfg << " (cycle count)";
-        EXPECT_EQ(base.stats, par.stats) << cfg << " (stats)";
-        EXPECT_EQ(base.races, par.races) << cfg << " (race log)";
-      }
+    for (u32 threads : {2u, 8u}) {
+      const Signature par = run_once(name, threads, seed);
+      ASSERT_TRUE(par.completed) << par.error;
+      const std::string cfg = name + " seed " + std::to_string(seed) + ": drift at " +
+                              std::to_string(threads) + " threads";
+      EXPECT_EQ(base.cycles, par.cycles) << cfg << " (cycle count)";
+      EXPECT_EQ(base.stats, par.stats) << cfg << " (stats)";
+      EXPECT_EQ(base.races, par.races) << cfg << " (race log)";
     }
   }
 }
@@ -126,30 +119,23 @@ TEST(DeterminismSeeds, SeedChangesWorkload) {
 }
 
 // The full 41-case injection campaign: the detected/undetected verdict
-// and the exact race counts must be invariant under every thread-count ×
-// shard-count combination. Each case is a small kernel, so the full
-// cross is cheap; it is also the sweep most likely to catch a merge bug,
-// because each case plants one specific race the log must still carry.
-TEST(DeterminismInjection, AllCasesThreadAndShardInvariant) {
+// and the exact race counts must be invariant under every thread count.
+// Each case is a small kernel, so the sweep is cheap; it is also the one
+// most likely to catch a staging bug, because each case plants one
+// specific race the log must still carry.
+TEST(DeterminismInjection, AllCasesThreadInvariant) {
   const auto cases = kernels::all_injection_cases();
   ASSERT_EQ(cases.size(), 41u);
   for (const auto& c : cases) {
-    sim::SimConfig serial;
-    serial.commit_shards = 1;
-    const auto base = kernels::run_injection_case(c, test_gpu(), serial);
-    for (u32 threads : {1u, 2u, 8u}) {
-      for (u32 shards : {1u, 2u, 8u}) {
-        if (threads == 1 && shards == 1) continue;
-        sim::SimConfig sim;
-        sim.num_threads = threads;
-        sim.commit_shards = shards;
-        const auto par = kernels::run_injection_case(c, test_gpu(), sim);
-        const std::string cfg = c.label() + " at " + std::to_string(threads) + " threads / " +
-                                std::to_string(shards) + " shards";
-        EXPECT_EQ(base.detected, par.detected) << cfg;
-        EXPECT_EQ(base.races_in_space, par.races_in_space) << cfg;
-        EXPECT_EQ(base.races_total, par.races_total) << cfg;
-      }
+    const auto base = kernels::run_injection_case(c, test_gpu(), sim::SimConfig{});
+    for (u32 threads : {2u, 8u}) {
+      sim::SimConfig sim;
+      sim.num_threads = threads;
+      const auto par = kernels::run_injection_case(c, test_gpu(), sim);
+      const std::string cfg = c.label() + " at " + std::to_string(threads) + " threads";
+      EXPECT_EQ(base.detected, par.detected) << cfg;
+      EXPECT_EQ(base.races_in_space, par.races_in_space) << cfg;
+      EXPECT_EQ(base.races_total, par.races_total) << cfg;
     }
   }
 }
