@@ -12,7 +12,7 @@
 //      instead of wedging a worker), deadlines time out instead of
 //      hanging, a drain timeout cancels what it must and nothing else,
 //   4. a zero-rate plan is really zero: serving reports stay
-//      byte-identical across server/job worker counts {1, 2, 8}, and
+//      byte-identical across server worker counts {1, 2, 8}, and
 //   5. a cancelled replay overruns by at most one granule batch
 //      (trace/replay.hpp kCancelCheckInterval).
 //
@@ -143,7 +143,7 @@ SeedOutcome run_storm(const std::vector<u8>& good, u64 seed, u32 jobs) {
       case 4: break;               // repeat of case 0 → memo fast path
     }
     u64 id = 0;
-    const Status st = client.submit(image, /*workers=*/1 + j % 2, kernel, deadline_ms, id);
+    const Status st = client.submit(image, kernel, deadline_ms, id);
     if (st.ok()) {
       ids.push_back(id);
     } else if (st.code() == StatusCode::kUnavailable) {
@@ -253,27 +253,25 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- 1. Zero-rate identity: no faults, no deadlines, any worker mix ------
+  // --- 1. Zero-rate identity: no faults, no deadlines, any worker count ----
   // The robustness machinery must be invisible when disarmed: the same
-  // report, byte for byte, from every server/job worker combination.
+  // report, byte for byte, from every server worker count.
   std::string reference;
   for (const u32 server_workers : {1u, 2u, 8u}) {
-    for (const u32 job_workers : {1u, 2u, 8u}) {
-      serve::ServerConfig cfg;
-      cfg.workers = server_workers;
-      serve::Server server(cfg);
-      u64 id = 0;
-      Status st = server.submit(good, job_workers, -1, id);
-      std::string report;
-      if (st.ok()) st = server.result(id, true, report);
-      check(st.ok(), "zero-rate job failed");
-      if (reference.empty()) reference = report;
-      check(report == reference,
-            "zero-rate report differs across worker counts (determinism broken)");
-      server.shutdown();
-    }
+    serve::ServerConfig cfg;
+    cfg.workers = server_workers;
+    serve::Server server(cfg);
+    u64 id = 0;
+    Status st = server.submit(good, /*workers=*/1, -1, id);
+    std::string report;
+    if (st.ok()) st = server.result(id, true, report);
+    check(st.ok(), "zero-rate job failed");
+    if (reference.empty()) reference = report;
+    check(report == reference,
+          "zero-rate report differs across worker counts (determinism broken)");
+    server.shutdown();
   }
-  std::printf("zero-rate identity: reports byte-identical across workers {1,2,8} x jobs {1,2,8}\n");
+  std::printf("zero-rate identity: reports byte-identical across server workers {1,2,8}\n");
 
   // --- 2. Bounded overrun: a cancelled replay stops within one batch -------
   u64 overrun_events = 0;

@@ -1,10 +1,10 @@
-// Serving throughput: what the sharded trace-replay service buys over
+// Serving throughput: what the trace-replay service buys over
 // running live simulations. Per registry kernel this measures
 //
 //   1. the live combined-detection simulation (the number every client
 //      would otherwise pay),
 //   2. a cold served job — fresh server, empty caches, full decode +
-//      sharded replay through haccrg_serve, and
+//      serial replay through haccrg_serve, and
 //   3. the aggregate steady state — many jobs over the same trace
 //      through one server, where the decode cache, the pre-warmed
 //      replay arenas and the report memo all earn their keep,
@@ -21,8 +21,7 @@
 // rejected with kUnavailable, then a full drain with every accepted
 // job accounted for.
 //
-//   bench_serving [--smoke] [--workers N] [--job-workers N]
-//                 [--jobs N] [--json BENCH_serving.json]
+//   bench_serving [--smoke] [--workers N] [--jobs N] [--json BENCH_serving.json]
 //
 // Exits 1 when served results diverge from the live race sets, when a
 // drained job is lost, or (full mode) when the aggregate geomean
@@ -93,7 +92,6 @@ int main(int argc, char** argv) {
 
   bool smoke = false;
   u32 server_workers = 2;  ///< worker threads draining the queue
-  u32 job_workers = 1;     ///< replay shards per job (1 = serial replay)
   u32 jobs_per_kernel = 32;
   bool jobs_explicit = false;
   std::string json_path = "BENCH_serving.json";
@@ -103,9 +101,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
       const long v = std::strtol(argv[++i], nullptr, 10);
       if (v >= 1) server_workers = static_cast<u32>(v);
-    } else if (std::strcmp(argv[i], "--job-workers") == 0 && i + 1 < argc) {
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v >= 1) job_workers = static_cast<u32>(v);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       const long v = std::strtol(argv[++i], nullptr, 10);
       if (v >= 1) {
@@ -116,14 +111,13 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: bench_serving [--smoke] [--workers N] [--job-workers N] "
-                   "[--jobs N] [--json FILE]\n");
+                   "usage: bench_serving [--smoke] [--workers N] [--jobs N] [--json FILE]\n");
       return 2;
     }
   }
   if (smoke && !jobs_explicit) jobs_per_kernel = 8;
 
-  bench::print_header("Sharded replay serving throughput",
+  bench::print_header("Trace-replay serving throughput",
                       "the detection pipeline, served instead of simulated");
 
   // --- Corpus: live run + recorded v2 trace per kernel ----------------------
@@ -179,7 +173,7 @@ int main(int argc, char** argv) {
     // Cold: empty decode cache, empty memo, cold arenas.
     const auto t_cold = std::chrono::steady_clock::now();
     u64 first_id = 0;
-    Status st = server.submit(corpus[k].bytes, job_workers, /*kernel=*/-1, first_id);
+    Status st = server.submit(corpus[k].bytes, /*workers=*/1, /*kernel=*/-1, first_id);
     std::string report;
     if (st.ok()) st = server.result(first_id, /*wait=*/true, report);
     if (!st.ok()) {
@@ -204,7 +198,7 @@ int main(int argc, char** argv) {
     std::vector<u64> ids;
     for (u32 j = 0; j < jobs_per_kernel; ++j) {
       u64 id = 0;
-      st = server.submit(corpus[k].bytes, job_workers, -1, id);
+      st = server.submit(corpus[k].bytes, 1, -1, id);
       if (!st.ok()) {
         std::fprintf(stderr, "%s: aggregate submit %u failed: %s\n", pt.name.c_str(), j,
                      st.message().c_str());
@@ -327,10 +321,9 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path, std::ios::trunc);
   if (json.good()) {
     json << "{\n  \"bench\": \"serving\",\n  "
-         << bench::host_concurrency_json(server_workers * job_workers)
+         << bench::host_concurrency_json(server_workers)
          << ",\n  \"smoke\": " << (smoke ? "true" : "false")
          << ",\n  \"server_workers\": " << server_workers
-         << ",\n  \"job_workers\": " << job_workers
          << ",\n  \"jobs_per_kernel\": " << jobs_per_kernel
          << ",\n  \"geomean_cold_speedup\": " << cold_geo
          << ",\n  \"geomean_aggregate_speedup\": " << agg_geo

@@ -119,15 +119,14 @@ serving_smoke() {
     "$1/src/trace/haccrg-trace" "$tmp/serve_cli"
   "$1/src/trace/haccrg-trace" record --kernel REDUCE --inject barrier:0 \
     --index --out "$tmp/golden.trc" >/dev/null
-  "$1/src/serve/haccrg-served" once --trace "$tmp/golden.trc" --workers 8 \
-    > "$tmp/report.json"
+  "$1/src/serve/haccrg-served" once --trace "$tmp/golden.trc" > "$tmp/report.json"
   grep -q '"unique_races"' "$tmp/report.json"
   "$1/bench/bench_serving" --smoke --json "$tmp/BENCH_serving_smoke.json" >/dev/null
   rm -rf "$tmp"
 }
 
 # Chaos smoke: bench_chaos --smoke runs the serving fault campaign —
-# zero-rate identity across worker counts, bounded deadline overrun,
+# zero-rate identity across server worker counts, bounded deadline overrun,
 # quarantine, timed drain, and seeded storms through all five serve_*
 # fault sites — and exits non-zero if any terminal-state, no-loss, or
 # stats-reconciliation invariant breaks.

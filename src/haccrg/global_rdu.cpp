@@ -30,7 +30,6 @@ void GlobalRdu::check(const AccessInfo& access, std::vector<Addr>& shadow_lines_
   const u32 last = (access.addr + access.size - 1) / granularity_;
   for (u32 g = first; g <= last; ++g) {
     if (static_cast<u64>(g) * granularity_ >= app_bytes_) break;
-    if (!shard_owns(static_cast<Addr>(g) * granularity_, shard_count_, shard_index_)) continue;
     ++checks_;
     const Addr entry_addr = shadow_base_ + g * kEntryBytes;
     u64 raw = memory_->read_u64(entry_addr);

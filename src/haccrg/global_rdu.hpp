@@ -44,16 +44,6 @@ class GlobalRdu {
   /// allocating).
   static constexpr u32 kEntryBytes = 8;
 
-  /// Address-sharded trace replay (trace/replay.hpp, and through it the
-  /// haccrg-served workers): execute only granule checks owned by shard
-  /// `index` of `count` (see shard_of_addr).
-  /// Skipped granules are untouched — no shadow read/write, no
-  /// last_write_ update, no counters, no log record.
-  void set_shard(u32 count, u32 index) {
-    shard_count_ = count;
-    shard_index_ = index;
-  }
-
   /// Check one lane's global access. Shadow line addresses (device
   /// addresses within the shadow region) touched by the check are
   /// appended to `shadow_lines_out` for traffic injection.
@@ -71,8 +61,6 @@ class GlobalRdu {
  private:
   mem::DeviceMemory* memory_;
   u32 granularity_;
-  u32 shard_count_ = 1;
-  u32 shard_index_ = 0;
   DetectPolicy policy_;
   RaceLog* log_;
   FenceIdReader fence_reader_;

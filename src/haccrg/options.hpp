@@ -5,11 +5,6 @@
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-// Granule shard ownership (shard_of_addr and friends) lives in its own
-// header so trace replay and the serving workers share one definition;
-// re-included here because every sharding call site already pulls in the
-// detector options.
-#include "haccrg/sharding.hpp"
 
 namespace haccrg::rd {
 

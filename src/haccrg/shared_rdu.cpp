@@ -26,7 +26,6 @@ void SharedRdu::check(const AccessInfo& access) {
   const u32 last = (access.addr + access.size - 1) / granularity_;
   const u16 t = access.thread_slot & 0x3ff;
   for (u32 g = first; g <= last && g < num_granules_; ++g) {
-    if (!shard_owns(static_cast<Addr>(g) * granularity_, shard_count_, shard_index_)) continue;
     ++checks_;
     u32 slot = g;
     if (capacity_ != 0) {

@@ -38,15 +38,6 @@ class SharedRdu {
   /// placement is thread-confined and deterministic.
   void set_faults(fault::FaultInjector* faults) { faults_ = faults; }
 
-  /// Address-sharded replay (trace/replay.hpp): execute only granule
-  /// checks owned by shard `index` of `count` (see shard_of_addr).
-  /// Skipped granules are untouched — no state read/write, no counters —
-  /// so the owning shard reproduces the serial sequence exactly.
-  void set_shard(u32 count, u32 index) {
-    shard_count_ = count;
-    shard_index_ = index;
-  }
-
   /// Check one lane's shared-memory access and update the shadow state.
   void check(const AccessInfo& access);
 
@@ -80,8 +71,6 @@ class SharedRdu {
   u32 granularity_;
   u32 num_granules_;
   u32 capacity_;  // 0 = fully provisioned (shadow_[g] addressed directly)
-  u32 shard_count_ = 1;
-  u32 shard_index_ = 0;
   DetectPolicy policy_;
   RaceStaging* staging_;
   fault::FaultInjector* faults_ = nullptr;

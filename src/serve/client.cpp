@@ -41,11 +41,10 @@ u32 Client::next_backoff_ms(u32 attempt) {
   return static_cast<u32>(half + rng_.next() % (backoff - half + 1));
 }
 
-Status Client::submit(const std::vector<u8>& trace, u32 workers, i64 kernel,
-                      u32 deadline_ms, u64& job_id_out) {
+Status Client::submit(const std::vector<u8>& trace, i64 kernel, u32 deadline_ms,
+                      u64& job_id_out) {
   Request request;
   request.verb = Verb::kSubmit;
-  request.workers = workers;
   request.kernel = kernel;
   request.deadline_ms = deadline_ms;
   request.trace = trace;

@@ -58,8 +58,7 @@ class Client {
   /// until max_attempts or retry_budget_ms runs out — then the last
   /// kUnavailable is returned. Every other error is terminal and
   /// surfaced on the first attempt. `deadline_ms` 0 = server default.
-  Status submit(const std::vector<u8>& trace, u32 workers, i64 kernel,
-                u32 deadline_ms, u64& job_id_out);
+  Status submit(const std::vector<u8>& trace, i64 kernel, u32 deadline_ms, u64& job_id_out);
 
   Status status(u64 job_id, JobInfo& out);
 

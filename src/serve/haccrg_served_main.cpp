@@ -1,10 +1,10 @@
-// haccrg-served — the sharded trace-replay detection service daemon.
+// haccrg-served — the trace-replay detection service daemon.
 //
 //   haccrg-served serve --socket PATH [--workers N] [--queue N]
 //                       [--deadline-ms N] [--drain-timeout MS] [--faults PLAN]
 //   haccrg-served serve --stdio [...same flags]
-//   haccrg-served once --trace FILE [--workers N] [--kernel N] [--deadline-ms N]
-//   haccrg-served client --socket PATH submit FILE [--workers N] [--kernel N]
+//   haccrg-served once --trace FILE [--kernel N] [--deadline-ms N]
+//   haccrg-served client --socket PATH submit FILE [--kernel N]
 //                        [--deadline-ms N] [--retries N]
 //   haccrg-served client --socket PATH status|result|cancel JOB [--wait]
 //   haccrg-served client --socket PATH stats|shutdown
@@ -14,6 +14,8 @@
 // in-process server — no socket, same code path — and prints the report
 // JSON; it is the smoke-test entry point. `client submit` retries
 // kUnavailable rejections with the serve/client.hpp backoff loop.
+// Numeric flags and job ids are parsed strictly: junk, trailing text or
+// a value outside the allowed range is a usage error.
 //
 // Exit codes: 0 success, 1 job/request failed (message on stderr),
 // 2 usage, 3 transport/io error.
@@ -22,11 +24,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,20 +52,47 @@ int usage(const char* error = nullptr) {
                "\n"
                "commands:\n"
                "  serve --socket PATH | --stdio   run the daemon\n"
-               "    [--workers N]                 worker threads (default 2)\n"
-               "    [--queue N]                   queued-job bound (default 64)\n"
+               "    [--workers N]                 worker threads, 1..64 (default 2)\n"
+               "    [--queue N]                   queued-job bound, 1..1000000 (default 64)\n"
                "    [--deadline-ms N]             default per-job deadline (0 = none)\n"
                "    [--drain-timeout MS]          SHUTDOWN drain budget; queued jobs\n"
-               "                                  past it are cancelled (default: full drain)\n"
+               "                                  past it are cancelled (-1 = full drain,\n"
+               "                                  the default)\n"
                "    [--faults PLAN]               serving chaos plan (serve_* keys,\n"
                "                                  HACCRG_FAULTS syntax)\n"
                "  once --trace FILE               one in-process job, report on stdout\n"
-               "    [--workers N] [--kernel N] [--deadline-ms N]\n"
+               "    [--kernel N] [--deadline-ms N]\n"
                "  client --socket PATH <verb>     one request against a daemon\n"
-               "    submit FILE [--workers N] [--kernel N] [--deadline-ms N] [--retries N]\n"
+               "    submit FILE [--kernel N] [--deadline-ms N] [--retries N]\n"
                "    status JOB | result JOB [--wait] | cancel JOB\n"
                "    stats | shutdown\n");
   return 2;
+}
+
+// Numeric flag ranges. Kernel and deadline bounds match what a SUBMIT
+// frame accepts (serve/protocol.cpp).
+constexpr i64 kMaxKernel = i64{1} << 20;
+constexpr i64 kMaxDeadlineMs = 86'400'000;
+constexpr i64 kMaxServerWorkers = 64;
+constexpr i64 kMaxQueue = 1'000'000;
+constexpr i64 kMaxRetries = 1000;
+constexpr i64 kMaxJobId = std::numeric_limits<i64>::max();
+
+/// Strict integer flag value: the whole of `text` must be a decimal
+/// number in [lo, hi]. On failure `out` is untouched.
+template <typename T>
+bool parse_flag(const char* text, i64 lo, i64 hi, T& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) && text[0] != '-') return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value < lo || value > hi) return false;
+  out = static_cast<T>(value);
+  return true;
+}
+
+int bad_flag(const std::string& flag, const char* value) {
+  return usage(("bad " + flag + " value: '" + value + "'").c_str());
 }
 
 bool read_file(const std::string& path, std::vector<u8>& out) {
@@ -212,17 +243,19 @@ int cmd_serve_socket(Server& server, const std::string& path) {
 
 int cmd_once(int argc, char** argv) {
   std::string trace_path;
-  u32 workers = 1;
   i64 kernel = -1;
   u32 deadline_ms = 0;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--trace" && i + 1 < argc) trace_path = argv[++i];
-    else if (arg == "--workers" && i + 1 < argc) workers = static_cast<u32>(std::atoi(argv[++i]));
-    else if (arg == "--kernel" && i + 1 < argc) kernel = std::atol(argv[++i]);
-    else if (arg == "--deadline-ms" && i + 1 < argc)
-      deadline_ms = static_cast<u32>(std::atoi(argv[++i]));
-    else return usage(("unknown once argument: " + arg).c_str());
+    if (arg == "--trace" && i + 1 < argc) {
+      trace_path = argv[++i];
+    } else if (arg == "--kernel" && i + 1 < argc) {
+      if (!parse_flag(argv[++i], 0, kMaxKernel, kernel)) return bad_flag(arg, argv[i]);
+    } else if (arg == "--deadline-ms" && i + 1 < argc) {
+      if (!parse_flag(argv[++i], 0, kMaxDeadlineMs, deadline_ms)) return bad_flag(arg, argv[i]);
+    } else {
+      return usage(("unknown once argument: " + arg).c_str());
+    }
   }
   if (trace_path.empty()) return usage("once requires --trace");
   std::vector<u8> bytes;
@@ -235,7 +268,7 @@ int cmd_once(int argc, char** argv) {
   Server server(config);
   Client client = Client::in_process(server);
   u64 job = 0;
-  if (Status status = client.submit(bytes, workers, kernel, deadline_ms, job); !status.ok()) {
+  if (Status status = client.submit(bytes, kernel, deadline_ms, job); !status.ok()) {
     std::fprintf(stderr, "haccrg-served: %s\n", status.to_string().c_str());
     return 1;
   }
@@ -338,22 +371,30 @@ int cmd_client(int argc, char** argv) {
       return 3;
     }
     for (size_t i = 2; i < rest.size(); ++i) {
-      if (rest[i] == "--workers" && i + 1 < rest.size())
-        request.workers = static_cast<u32>(std::atoi(rest[++i].c_str()));
-      else if (rest[i] == "--kernel" && i + 1 < rest.size())
-        request.kernel = std::atol(rest[++i].c_str());
-      else if (rest[i] == "--deadline-ms" && i + 1 < rest.size())
-        deadline_ms = static_cast<u32>(std::atoi(rest[++i].c_str()));
-      else if (rest[i] == "--retries" && i + 1 < rest.size())
-        client_config.max_attempts = static_cast<u32>(std::atoi(rest[++i].c_str())) + 1;
-      else return usage(("unknown submit argument: " + rest[i]).c_str());
+      const std::string& arg = rest[i];
+      const bool has_value = i + 1 < rest.size();
+      if (arg == "--kernel" && has_value) {
+        if (!parse_flag(rest[++i].c_str(), 0, kMaxKernel, request.kernel))
+          return bad_flag(arg, rest[i].c_str());
+      } else if (arg == "--deadline-ms" && has_value) {
+        if (!parse_flag(rest[++i].c_str(), 0, kMaxDeadlineMs, deadline_ms))
+          return bad_flag(arg, rest[i].c_str());
+      } else if (arg == "--retries" && has_value) {
+        u32 retries = 0;
+        if (!parse_flag(rest[++i].c_str(), 0, kMaxRetries, retries))
+          return bad_flag(arg, rest[i].c_str());
+        client_config.max_attempts = retries + 1;
+      } else {
+        return usage(("unknown submit argument: " + arg).c_str());
+      }
     }
   } else if (verb == "status" || verb == "result" || verb == "cancel") {
     if (rest.size() < 2) return usage("client needs a job id");
     request.verb = verb == "status" ? Verb::kStatus
                    : verb == "result" ? Verb::kResult
                                       : Verb::kCancel;
-    request.job_id = static_cast<u64>(std::atoll(rest[1].c_str()));
+    if (!parse_flag(rest[1].c_str(), 1, kMaxJobId, request.job_id))
+      return bad_flag("job id", rest[1].c_str());
     if (rest.size() > 2 && rest[2] == "--wait" && verb == "result") request.wait = true;
   } else if (verb == "stats") {
     request.verb = Verb::kStats;
@@ -389,7 +430,7 @@ int cmd_client(int argc, char** argv) {
   Response shown;  // what to print on success
   if (request.verb == Verb::kSubmit) {
     u64 job = 0;
-    status = client.submit(request.trace, request.workers, request.kernel, deadline_ms, job);
+    status = client.submit(request.trace, request.kernel, deadline_ms, job);
     shown.job_id = job;
     shown.state = "queued";
   } else if (request.verb == Verb::kStatus) {
@@ -446,23 +487,29 @@ int main(int argc, char** argv) {
     ServerConfig config;
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--socket" && i + 1 < argc) socket_path = argv[++i];
-      else if (arg == "--stdio") stdio = true;
-      else if (arg == "--workers" && i + 1 < argc)
-        config.workers = static_cast<u32>(std::atoi(argv[++i]));
-      else if (arg == "--queue" && i + 1 < argc)
-        config.max_queue = static_cast<u32>(std::atoi(argv[++i]));
-      else if (arg == "--deadline-ms" && i + 1 < argc)
-        config.default_deadline_ms = static_cast<u32>(std::atoi(argv[++i]));
-      else if (arg == "--drain-timeout" && i + 1 < argc)
-        config.drain_timeout_ms = std::atoll(argv[++i]);
-      else if (arg == "--faults" && i + 1 < argc) {
+      if (arg == "--socket" && i + 1 < argc) {
+        socket_path = argv[++i];
+      } else if (arg == "--stdio") {
+        stdio = true;
+      } else if (arg == "--workers" && i + 1 < argc) {
+        if (!parse_flag(argv[++i], 1, kMaxServerWorkers, config.workers))
+          return bad_flag(arg, argv[i]);
+      } else if (arg == "--queue" && i + 1 < argc) {
+        if (!parse_flag(argv[++i], 1, kMaxQueue, config.max_queue)) return bad_flag(arg, argv[i]);
+      } else if (arg == "--deadline-ms" && i + 1 < argc) {
+        if (!parse_flag(argv[++i], 0, kMaxDeadlineMs, config.default_deadline_ms))
+          return bad_flag(arg, argv[i]);
+      } else if (arg == "--drain-timeout" && i + 1 < argc) {
+        if (!parse_flag(argv[++i], -1, kMaxDeadlineMs, config.drain_timeout_ms))
+          return bad_flag(arg, argv[i]);
+      } else if (arg == "--faults" && i + 1 < argc) {
         if (Status status = fault::FaultPlan::parse(argv[++i], config.faults); !status.ok()) {
           std::fprintf(stderr, "haccrg-served: %s\n", status.to_string().c_str());
           return 2;
         }
+      } else {
+        return usage(("unknown serve argument: " + arg).c_str());
       }
-      else return usage(("unknown serve argument: " + arg).c_str());
     }
     if (stdio == !socket_path.empty())
       return usage("serve needs exactly one of --socket/--stdio");

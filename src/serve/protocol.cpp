@@ -105,7 +105,6 @@ void encode_request(const Request& request, std::vector<u8>& out) {
   append(out, "\n");
   switch (request.verb) {
     case Verb::kSubmit:
-      if (request.workers != 1) append_field(out, "workers", std::to_string(request.workers));
       if (request.kernel >= 0) append_field(out, "kernel", std::to_string(request.kernel));
       if (request.deadline_ms != 0)
         append_field(out, "deadline_ms", std::to_string(request.deadline_ms));
@@ -162,9 +161,10 @@ Status parse_request(const u8* data, size_t size, Request& out) {
   for (const auto& [key, value] : head.fields) {
     u64 number = 0;
     if (key == "workers" && request.verb == Verb::kSubmit) {
+      // Range-checked so frames from older clients still parse; the
+      // value is unused, because replay is serial per job.
       if (!parse_u64(value, 64, number) || number == 0)
         return Status::invalid_argument("serve: workers must be 1..64");
-      request.workers = static_cast<u32>(number);
     } else if (key == "kernel" && request.verb == Verb::kSubmit) {
       if (!parse_u64(value, u64{1} << 20, number))
         return Status::invalid_argument("serve: bad kernel number");

@@ -49,7 +49,6 @@ std::string_view verb_name(Verb verb);
 struct Request {
   Verb verb = Verb::kStats;
   u64 job_id = 0;       ///< STATUS / RESULT / CANCEL (key "job")
-  u32 workers = 1;      ///< SUBMIT: shard worker count (key "workers", 1..64)
   i64 kernel = -1;      ///< SUBMIT: replay only kernel #n via the trace
                         ///< index; -1 = whole trace (key "kernel")
   u32 deadline_ms = 0;  ///< SUBMIT: per-job deadline in milliseconds; 0 =

@@ -61,8 +61,8 @@ std::string_view job_state_name(JobState state) {
 
 struct Server::Impl {
   /// (content hash, byte count, kernel slice) — the identity replay
-  /// results depend on. Worker count is deliberately absent: sharded
-  /// replay is byte-identical across worker counts.
+  /// results depend on. Replay is deterministic, so which worker ran a
+  /// job does not matter.
   using TraceKey = std::tuple<u64, u64, i64>;
   /// (content hash, byte count) — quarantine identity: a poison pill is
   /// the byte image, whatever slice of it a job asked for.
@@ -74,7 +74,6 @@ struct Server::Impl {
     std::vector<u8> trace;  ///< moved out when the job starts running
     u64 hash = 0;           ///< content hash, computed once at submit
     u64 trace_size = 0;
-    u32 workers = 1;
     i64 kernel = -1;
     u32 deadline_ms = 0;  ///< 0 = no deadline
     steady_clock::time_point started{};  ///< set when the job starts running
@@ -302,7 +301,6 @@ struct Server::Impl {
       job.cancel.reset();
       ++active;
       std::vector<u8> bytes = std::move(job.trace);
-      const u32 workers = job.workers;
       const i64 kernel = job.kernel;
       const u64 hash = job.hash;
       const u64 trace_size = bytes.size();
@@ -366,7 +364,7 @@ struct Server::Impl {
           trace::ReplayOptions opts;
           opts.arena = arenas[index].get();
           opts.cancel = &job.cancel;
-          const trace::ReplayResult result = trace::replay_sharded(*decoded, workers, opts);
+          const trace::ReplayResult result = trace::replay_decoded(*decoded, opts);
           if (result.ok)
             report = build_report_json(result);
           else
@@ -471,7 +469,6 @@ Status Server::submit(const std::vector<u8>& trace_bytes, u32 workers, i64 kerne
       job.id = id;
       job.hash = hash;
       job.trace_size = trace_bytes.size();
-      job.workers = workers;
       job.kernel = kernel;
       job.state = JobState::kDone;
       job.report = hit->second.report;
@@ -498,7 +495,6 @@ Status Server::submit(const std::vector<u8>& trace_bytes, u32 workers, i64 kerne
   job.trace = trace_bytes;  // the one copy a queued job pays
   job.hash = hash;
   job.trace_size = trace_bytes.size();
-  job.workers = workers;
   job.kernel = kernel;
   job.deadline_ms = deadline_ms != 0 ? deadline_ms : impl_->config.default_deadline_ms;
   impl_->queue.push_back(id);
@@ -663,7 +659,7 @@ Response Server::handle_request(const Request& request) {
   switch (request.verb) {
     case Verb::kSubmit: {
       u64 id = 0;
-      status = submit(request.trace, request.workers, request.kernel, request.deadline_ms, id);
+      status = submit(request.trace, /*workers=*/1, request.kernel, request.deadline_ms, id);
       if (status.ok()) {
         response.job_id = id;
         response.state = "queued";

@@ -1,12 +1,13 @@
-// The sharded trace-replay detection service. A Server owns a bounded
-// job queue and a pool of worker threads; each worker carries its own
-// pre-warmed ReplayArena (trace/replay.hpp) so steady-state jobs reuse
-// detector state instead of rebuilding it. Traces are decoded once per
-// distinct byte image (content-addressed cache) and, because sharded
-// replay is deterministic and byte-identical across worker counts, the
-// finished report for a (trace, kernel-slice) pair is memoized — a
-// resubmitted trace is answered without replaying at all. Both the memo
-// and the decode cache are LRU-bounded by max_memo_bytes.
+// The trace-replay detection service. A Server owns a bounded job queue
+// and a pool of worker threads; each worker replays one job at a time,
+// serially, so the service parallelises across jobs only. Each worker
+// carries its own pre-warmed ReplayArena (trace/replay.hpp) so
+// steady-state jobs reuse detector state instead of rebuilding it.
+// Traces are decoded once per distinct byte image (content-addressed
+// cache) and, because replay is deterministic, the finished report for
+// a (trace, kernel-slice) pair is memoized — a resubmitted trace is
+// answered without replaying at all. Both the memo and the decode cache
+// are LRU-bounded by max_memo_bytes.
 //
 // Overload is rejected, not absorbed: when `max_queue` jobs are already
 // waiting, submit() returns StatusCode::kUnavailable and the caller is
@@ -83,7 +84,9 @@ class Server {
   /// for v1 traces). `deadline_ms` bounds the job's run time (0 = the
   /// server default). Fails with kUnavailable when the queue is full or
   /// the server is shutting down, kCorrupt when the trace image is
-  /// quarantined.
+  /// quarantined. `workers` is range-checked (1..64) and otherwise
+  /// ignored: replay is serial per job. It stays only for perfbench,
+  /// which still passes a per-job shard count.
   Status submit(const std::vector<u8>& trace_bytes, u32 workers, i64 kernel,
                 u32 deadline_ms, u64& job_id_out);
   Status submit(const std::vector<u8>& trace_bytes, u32 workers, i64 kernel, u64& job_id_out) {

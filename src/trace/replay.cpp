@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "haccrg/global_rdu.hpp"
 #include "haccrg/id_regs.hpp"
-#include "haccrg/sharding.hpp"
 #include "haccrg/shared_rdu.hpp"
 #include "mem/device_memory.hpp"
 
@@ -122,7 +119,6 @@ struct KernelState {
                                             begin.block_dim, opts.sw_is_safe);
     if (opts.grace)
       grace = std::make_unique<GraceReplay>(begin.grid_dim, begin.block_dim, opts.sw_is_safe);
-    set_shard(opts);
   }
 
   void make_global_rdu() {
@@ -132,12 +128,6 @@ struct KernelState {
     };
     global_rdu =
         std::make_unique<rd::GlobalRdu>(*memory, cfg, policy, *log, std::move(fence_reader));
-  }
-
-  void set_shard(const ReplayOptions& opts) {
-    for (auto& sm : sms)
-      if (sm->shared_rdu != nullptr) sm->shared_rdu->set_shard(opts.shard_count, opts.shard_index);
-    if (global_rdu != nullptr) global_rdu->set_shard(opts.shard_count, opts.shard_index);
   }
 
   /// Clear-don't-free reuse: reset every piece of detector state to its
@@ -174,23 +164,18 @@ struct KernelState {
       }
       global_rdu->init_shadow(begin.shadow_base, begin.app_heap_bytes);
     }
-    set_shard(opts);
     return true;
   }
 };
 
 }  // namespace
 
-/// Arena internals: cached KernelStates keyed by shard assignment, so
-/// concurrent shard engines sharing one arena never contend for the
-/// same slot. The mutex guards only acquire/release (per kernel, not
-/// per event).
+/// Arena internals: one cached KernelState. The mutex guards
+/// acquire/release (per kernel, not per event) and the counters, which
+/// STATS reads from another thread.
 struct ReplayArena::Impl {
-  struct Slot {
-    std::unique_ptr<KernelState> state;
-  };
   std::mutex mu;
-  std::map<std::pair<u32, u32>, Slot> slots;
+  std::unique_ptr<KernelState> state;
   u64 reuses = 0;
   u64 builds = 0;
 };
@@ -289,7 +274,7 @@ class ReplayEngine {
     if (opts_.arena != nullptr) {
       ReplayArena::Impl& arena = opts_.arena->impl();
       std::lock_guard<std::mutex> lock(arena.mu);
-      arena.slots[{opts_.shard_count, opts_.shard_index}].state = std::move(state_);
+      arena.state = std::move(state_);
     }
     state_.reset();
   }
@@ -315,15 +300,14 @@ class ReplayEngine {
       std::unique_ptr<KernelState> cached;
       {
         std::lock_guard<std::mutex> lock(arena.mu);
-        auto it = arena.slots.find({opts_.shard_count, opts_.shard_index});
-        if (it != arena.slots.end()) cached = std::move(it->second.state);
+        cached = std::move(arena.state);
       }
       const bool reused = cached != nullptr && cached->reset_for(h, event, opts_);
       if (reused) {
         state_ = std::move(cached);
       } else {
         // An incompatible cached state is simply dropped; the fresh
-        // build replaces it in the slot at the next finish_kernel.
+        // build replaces it in the arena at the next finish_kernel.
         state_ = std::make_unique<KernelState>(h, event, opts_);
       }
       std::lock_guard<std::mutex> lock(arena.mu);
@@ -386,10 +370,6 @@ class ReplayEngine {
     waw_scratch_.clear();
     for (const TraceLane& lane : event.lanes) {
       const Addr granule = lane.addr & ~static_cast<Addr>(width - 1);
-      // Sharded replay: the granule's owner reports its intra-warp WAWs
-      // (same ownership rule as the RDU shadow checks, so per-shard race
-      // sets stay disjoint).
-      if (!rd::shard_owns(granule, opts_.shard_count, opts_.shard_index)) continue;
       WawGranule* found = nullptr;
       for (WawGranule& g : waw_scratch_)
         if (g.addr == granule) {
@@ -427,8 +407,8 @@ class ReplayEngine {
 
     if (opts_.hw && event.checked && sm.shared_rdu != nullptr) {
       if (is_store) stage_waw(sm, slot, event, rd::MemSpace::kShared);
-      // Count granule checks via the RDU's own (shard-filtered) counter
-      // so per-shard counts partition the serial count exactly.
+      // Count granule checks via the RDU's own counter (an access can
+      // span several granules).
       const u64 before = sm.shared_rdu->checks();
       for (const TraceLane& lane : event.lanes)
         sm.shared_rdu->check(make_access(sm, slot, event, lane, is_store));
@@ -487,8 +467,6 @@ class ReplayEngine {
         }
       }
       shadow_scratch_.clear();
-      // As with shared checks: the RDU's counter is shard-filtered, so
-      // per-shard counts sum exactly to the serial count.
       const u64 before = state_->global_rdu->checks();
       for (u32 s = 0; s < seg_scratch_.size(); ++s) {
         for (const auto& [seg_idx, lane_idx] : order_scratch_) {
@@ -663,48 +641,9 @@ ReplayResult replay_decoded(const DecodedTrace& trace, const ReplayOptions& opts
   return ReplayEngine(trace.header, opts).run(trace.events.data(), trace.events.size());
 }
 
-ReplayResult replay_sharded(const DecodedTrace& trace, u32 workers, const ReplayOptions& opts) {
-  if (workers <= 1) {
-    ReplayOptions serial = opts;
-    serial.shard_count = 1;
-    serial.shard_index = 0;
-    return replay_decoded(trace, serial);
-  }
-  std::vector<ReplayResult> parts(workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (u32 w = 0; w < workers; ++w) {
-    threads.emplace_back([&trace, &parts, &opts, workers, w] {
-      ReplayOptions shard = opts;
-      shard.shard_count = workers;
-      shard.shard_index = w;
-      parts[w] = replay_decoded(trace, shard);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (u32 w = 0; w < workers; ++w)
-    if (!parts[w].ok) return std::move(parts[w]);
-  // Deterministic merge: shard race sets are disjoint (each granule has
-  // exactly one owner), so union-in-shard-order rebuilds the serial
-  // result independent of thread scheduling.
-  ReplayResult merged = std::move(parts[0]);
-  for (u32 w = 1; w < workers; ++w) {
-    ReplayResult& part = parts[w];
-    if (part.kernels.size() != merged.kernels.size()) {
-      merged.ok = false;
-      merged.error = "sharded replay: shard kernel counts diverge";
-      merged.code = StatusCode::kCorrupt;
-      return merged;
-    }
-    for (size_t k = 0; k < merged.kernels.size(); ++k) {
-      KernelReplay& into = merged.kernels[k];
-      const KernelReplay& from = part.kernels[k];
-      for (const rd::RaceRecord& race : from.races.races()) into.races.record(race);
-      into.shared_checks += from.shared_checks;
-      into.global_checks += from.global_checks;
-    }
-  }
-  return merged;
+ReplayResult replay_sharded(const DecodedTrace& trace, u32 /*workers*/,
+                            const ReplayOptions& opts) {
+  return replay_decoded(trace, opts);
 }
 
 }  // namespace haccrg::trace

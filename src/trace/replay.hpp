@@ -55,9 +55,9 @@ class ReplayArena;
 inline constexpr u64 kCancelCheckInterval = 512;
 
 /// Cooperative cancellation flag for long replays. The owner (the
-/// serving watchdog, a deadline) sets it from any thread; every shard
-/// engine polling it aborts with StatusCode::kDeadlineExceeded at the
-/// next batch boundary. Reusable after reset().
+/// serving watchdog, a deadline) sets it from any thread; a replay
+/// polling it aborts with StatusCode::kDeadlineExceeded at the next
+/// batch boundary. Reusable after reset().
 class CancelToken {
  public:
   void cancel() { flag_.store(1, std::memory_order_relaxed); }
@@ -77,18 +77,6 @@ struct ReplayOptions {
   /// pass InstrumentOptions::static_prune); null = instrument everything.
   std::function<bool(u32)> sw_is_safe;
 
-  /// Address-sharded hardware replay (see shard_of_addr in
-  /// haccrg/options.hpp): this engine executes only granule checks owned
-  /// by shard `shard_index` of `shard_count`. Every shard still replays
-  /// all events — ID registers are cheap and globally read — so the
-  /// owner shard's state for its granules evolves exactly as serial
-  /// replay's, and per-shard race sets are disjoint (replay_sharded
-  /// merges them). Sharding applies to the hardware detectors only; the
-  /// software emulators ignore it and should be left off when
-  /// shard_count > 1.
-  u32 shard_count = 1;
-  u32 shard_index = 0;
-
   /// Pre-warmed replay context (clear-don't-free): when set, per-kernel
   /// detector state is reset and reused across kernels and across
   /// replay calls instead of rebuilt, as long as the trace header
@@ -96,13 +84,12 @@ struct ReplayOptions {
   ReplayArena* arena = nullptr;
 
   /// Cooperative cancellation: polled every kCancelCheckInterval events.
-  /// replay_sharded passes the same token to every shard engine.
   const CancelToken* cancel = nullptr;
 };
 
-/// Cache of built per-kernel detector state keyed by shard assignment.
-/// acquire/release are internal to the replay engine; callers just keep
-/// the arena alive across replays and read the reuse counters.
+/// Cache of the last built per-kernel detector state. acquire/release
+/// are internal to the replay engine; callers just keep the arena alive
+/// across replays and read the reuse counters.
 class ReplayArena {
  public:
   ReplayArena();
@@ -170,8 +157,8 @@ ReplayResult replay_events(TraceReader& reader, const ReplayOptions& opts = {});
 
 /// A fully decoded trace: header plus every event, validated during the
 /// decode. Replaying from this skips the varint layer entirely — the
-/// serving path decodes a trace once and replays it for every job (and
-/// every shard) that references it.
+/// serving path decodes a trace once and replays it for every job that
+/// references it.
 struct DecodedTrace {
   TraceHeader header;
   std::vector<Event> events;
@@ -191,13 +178,8 @@ Status decode_trace_kernel(TraceReader& reader, const TraceIndexKernel& kernel,
 /// Replay a pre-decoded trace.
 ReplayResult replay_decoded(const DecodedTrace& trace, const ReplayOptions& opts = {});
 
-/// Address-sharded parallel replay: run `workers` shard engines (one
-/// thread each) over the same decoded trace and merge the disjoint
-/// per-shard race sets in shard order — a deterministic reduction whose
-/// race identity sets are exactly serial replay's for any worker count.
-/// (The only caveat is the documented RaceLog recording cap: each shard
-/// gets the full cap, so a trace that saturates the serial log can keep
-/// more races sharded.) `opts.shard_count/shard_index` are overridden.
+/// Kept only for perfbench's replay probe, which still calls it: a
+/// forward to replay_decoded. `workers` is ignored; replay is serial.
 ReplayResult replay_sharded(const DecodedTrace& trace, u32 workers,
                             const ReplayOptions& opts = {});
 

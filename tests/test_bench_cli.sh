@@ -4,18 +4,21 @@
 # positional argument, a flag without its value and a malformed numeric
 # value must each exit 2 with a usage line on stderr, before any
 # benchmark work starts. Valid flags are not run here: each would
-# simulate the whole suite.
+# simulate the whole suite. bench_serving is checked only for refusing
+# --job-workers: replay is serial per job, so there is nothing to set.
 #
-#   test_bench_cli.sh BENCH_HOTPATH BENCH_FIG7 [WORKDIR]
+#   test_bench_cli.sh BENCH_HOTPATH BENCH_FIG7 BENCH_SERVING [WORKDIR]
 set -u
 
 HOTPATH=$1
 FIG7=$2
-WORK=${3:-$(mktemp -d)}
+SERVING=$3
+WORK=${4:-$(mktemp -d)}
 # The test runs from inside $WORK (a mis-parsed run would write its JSON
 # there), so relative binary paths must be anchored to the caller's cwd.
 case "$HOTPATH" in /*) ;; *) HOTPATH="$PWD/$HOTPATH" ;; esac
 case "$FIG7" in /*) ;; *) FIG7="$PWD/$FIG7" ;; esac
+case "$SERVING" in /*) ;; *) SERVING="$PWD/$SERVING" ;; esac
 mkdir -p "$WORK"
 cd "$WORK" || exit 99
 
@@ -55,6 +58,8 @@ expect_usage "$FIG7" --threads
 expect_usage "$FIG7" --threads 0
 expect_usage "$FIG7" --threads 1,x
 expect_usage "$FIG7" --threads 1,2 extra
+
+expect_usage "$SERVING" --job-workers 2
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails check(s) failed"

@@ -1,7 +1,7 @@
 // Server-level contract of the trace-replay detection service: the job
 // lifecycle (submit / status / result / cancel), bounded-queue overload
 // rejection with kUnavailable, concurrent-job isolation (N jobs over
-// the same and different traces, sharded worker counts {1, 2, 8}, all
+// the same and different traces, server worker counts {1, 2, 4}, all
 // reports byte-identical to each other and across worker counts),
 // shutdown-under-load draining with no lost or duplicated results, the
 // index-less (v1) kernel-slice fallback, and the wire protocol's
@@ -116,7 +116,7 @@ TEST_F(ServeTest, SubmitResultLifecycle) {
   Server server(cfg);
 
   u64 id = 0;
-  ASSERT_TRUE(server.submit(reduce_trace(), 2, -1, id).ok());
+  ASSERT_TRUE(server.submit(reduce_trace(), 1, -1, id).ok());
   EXPECT_GT(id, 0u);
 
   std::string report;
@@ -144,6 +144,7 @@ TEST_F(ServeTest, UnknownJobsAndBadSubmissions) {
 
   u64 id = 0;
   EXPECT_EQ(server.submit({}, 1, -1, id).code(), StatusCode::kInvalidArgument);
+  // The per-job workers argument is ignored but still range-checked.
   EXPECT_EQ(server.submit(reduce_trace(), 0, -1, id).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(server.submit(reduce_trace(), 65, -1, id).code(), StatusCode::kInvalidArgument);
 
@@ -226,37 +227,30 @@ TEST_F(ServeTest, OverloadRejectsWithUnavailable) {
 TEST_F(ServeTest, ConcurrentJobsAreIsolatedAcrossWorkerCounts) {
   // Memoization off: identical reports must come from genuinely
   // independent replays, not from one replay served N times.
-  ServerConfig cfg;
-  cfg.workers = 4;
-  cfg.max_queue = 64;
-  cfg.memoize = false;
-  Server server(cfg);
+  // Per kernel, one report must emerge — across interleavings, server
+  // worker counts, and queue positions (the determinism contract).
+  std::map<std::string, std::string> reference;
+  for (const u32 workers : {1u, 2u, 4u}) {
+    ServerConfig cfg;
+    cfg.workers = workers;
+    cfg.max_queue = 64;
+    cfg.memoize = false;
+    Server server(cfg);
 
-  struct Submitted {
-    u64 id;
-    const char* kernel;
-    u32 workers;
-  };
-  std::vector<Submitted> jobs;
-  for (const u32 workers : {1u, 2u, 8u}) {
+    std::vector<std::pair<u64, const char*>> jobs;
     for (int n = 0; n < 3; ++n) {
       u64 id = 0;
-      ASSERT_TRUE(server.submit(reduce_trace(), workers, -1, id).ok());
-      jobs.push_back({id, "REDUCE", workers});
-      ASSERT_TRUE(server.submit(hist_trace(), workers, -1, id).ok());
-      jobs.push_back({id, "HIST", workers});
+      ASSERT_TRUE(server.submit(reduce_trace(), 1, -1, id).ok());
+      jobs.emplace_back(id, "REDUCE");
+      ASSERT_TRUE(server.submit(hist_trace(), 1, -1, id).ok());
+      jobs.emplace_back(id, "HIST");
     }
-  }
-
-  // Per kernel, one report must emerge — across interleavings, worker
-  // counts, and queue positions (the sharding determinism contract).
-  std::map<std::string, std::string> reference;
-  for (const Submitted& job : jobs) {
-    std::string report;
-    ASSERT_TRUE(server.result(job.id, true, report).ok()) << job.kernel;
-    auto [it, inserted] = reference.emplace(job.kernel, report);
-    EXPECT_EQ(report, it->second)
-        << job.kernel << " with " << job.workers << " workers diverged";
+    for (const auto& [id, kernel] : jobs) {
+      std::string report;
+      ASSERT_TRUE(server.result(id, true, report).ok()) << kernel;
+      auto [it, inserted] = reference.emplace(kernel, report);
+      EXPECT_EQ(report, it->second) << kernel << " on " << workers << " workers diverged";
+    }
   }
   EXPECT_NE(reference["REDUCE"], reference["HIST"])
       << "different traces produced the same report — jobs are bleeding state";
@@ -273,7 +267,7 @@ TEST_F(ServeTest, ShutdownDrainsWithoutLosingResults) {
 
   std::vector<u64> ids(24);
   for (size_t i = 0; i < ids.size(); ++i)
-    ASSERT_TRUE(server.submit(i % 2 ? hist_trace() : reduce_trace(), 2, -1, ids[i]).ok());
+    ASSERT_TRUE(server.submit(i % 2 ? hist_trace() : reduce_trace(), 1, -1, ids[i]).ok());
 
   server.shutdown();  // drain: every accepted job runs to completion
 
@@ -338,11 +332,10 @@ TEST_F(ServeTest, MemoizedResubmissionMatchesFirstReport) {
   std::string reference;
   ASSERT_TRUE(server.result(first, true, reference).ok());
 
-  // Resubmissions are answered from the memo — and because reports are
-  // worker-count independent, a different worker count still hits.
-  for (const u32 workers : {1u, 2u, 8u}) {
+  // Resubmissions are answered from the memo.
+  for (int n = 0; n < 3; ++n) {
     u64 id = 0;
-    ASSERT_TRUE(server.submit(reduce_trace(), workers, -1, id).ok());
+    ASSERT_TRUE(server.submit(reduce_trace(), 1, -1, id).ok());
     std::string report;
     ASSERT_TRUE(server.result(id, true, report).ok());
     EXPECT_EQ(report, reference);
@@ -370,7 +363,6 @@ TEST_F(ServeTest, ProtocolRoundTripOverFrames) {
 
   Request submit;
   submit.verb = Verb::kSubmit;
-  submit.workers = 2;
   submit.trace = reduce_trace();
   Response response;
   roundtrip(submit, response);
@@ -600,7 +592,7 @@ TEST_F(ServeTest, ClientRetriesUnavailableWithDeterministicBackoff) {
   u32 exhausted = 0;
   for (u32 i = 0; i < 12; ++i) {
     u64 id = 0;
-    const Status st = client.submit(reduce_trace(), 1, -1, 0, id);
+    const Status st = client.submit(reduce_trace(), -1, 0, id);
     if (st.ok()) ids.push_back(id);
     else {
       EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.message();
@@ -633,8 +625,8 @@ TEST_F(ServeTest, ClientSurfacesTerminalErrorsWithoutRetry) {
   serve::Client client = serve::Client::in_process(server, ccfg);
 
   u64 id = 0;
-  EXPECT_EQ(client.submit({}, 1, -1, 0, id).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(client.submit(reduce_trace(), 0, -1, 0, id).code(),
+  EXPECT_EQ(client.submit({}, -1, 0, id).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.submit(reduce_trace(), -1, /*deadline_ms=*/86'400'001, id).code(),
             StatusCode::kInvalidArgument);
   std::string json;
   EXPECT_EQ(client.result(999, false, json).code(), StatusCode::kNotFound);
@@ -642,7 +634,7 @@ TEST_F(ServeTest, ClientSurfacesTerminalErrorsWithoutRetry) {
   EXPECT_EQ(client.retries(), 0u);
 
   // The happy path through the same client still works end to end.
-  ASSERT_TRUE(client.submit(reduce_trace(), 1, -1, 0, id).ok());
+  ASSERT_TRUE(client.submit(reduce_trace(), -1, 0, id).ok());
   EXPECT_TRUE(client.result(id, true, json).ok());
   EXPECT_NE(json.find("\"unique_races\""), std::string::npos);
 }

@@ -63,8 +63,35 @@ expect_exit 2 "$BIN" client --socket sock.s submit
 # --- A recorded trace to serve ----------------------------------------------
 expect_exit 0 "$TRACE_BIN" record --kernel REDUCE --out good.trc
 
+# --- Strict numeric flags: junk, trailing text, out of range (2) ------------
+expect_exit 2 "$BIN" once --trace good.trc --kernel abc
+expect_exit 2 "$BIN" once --trace good.trc --kernel 1x
+expect_exit 2 "$BIN" once --trace good.trc --kernel -1
+expect_exit 2 "$BIN" once --trace good.trc --kernel 99999999999999999999
+expect_exit 2 "$BIN" once --trace good.trc --deadline-ms abc
+expect_exit 2 "$BIN" once --trace good.trc --deadline-ms 86400001
+expect_exit 2 "$BIN" once --trace good.trc --workers 2   # not a per-job flag
+expect_exit 2 "$BIN" client --socket sock.s submit good.trc --kernel 2.5
+expect_exit 2 "$BIN" client --socket sock.s submit good.trc --deadline-ms ""
+expect_exit 2 "$BIN" client --socket sock.s submit good.trc --retries abc
+expect_exit 2 "$BIN" client --socket sock.s submit good.trc --workers 2
+expect_exit 2 "$BIN" client --socket sock.s status 1x
+expect_exit 2 "$BIN" client --socket sock.s result 0 --wait
+expect_exit 2 "$BIN" serve --socket strict.s --workers abc
+expect_exit 2 "$BIN" serve --socket strict.s --workers 0
+expect_exit 2 "$BIN" serve --socket strict.s --workers 65
+expect_exit 2 "$BIN" serve --socket strict.s --queue abc
+expect_exit 2 "$BIN" serve --socket strict.s --queue 0
+expect_exit 2 "$BIN" serve --socket strict.s --deadline-ms 5ms
+expect_exit 2 "$BIN" serve --socket strict.s --drain-timeout 50x
+expect_exit 2 "$BIN" serve --socket strict.s --drain-timeout -2
+if [ -e strict.s ]; then
+  echo "FAIL: a serve usage error still bound its socket"
+  fails=$((fails + 1))
+fi
+
 # --- once: in-process round trip ---------------------------------------------
-expect_exit 0 "$BIN" once --trace good.trc --workers 2
+expect_exit 0 "$BIN" once --trace good.trc
 expect_stdout '"unique_races"' "once --trace good.trc"
 expect_exit 3 "$BIN" once --trace ./does_not_exist.trc
 expect_exit 1 "$BIN" once --trace good.trc --kernel 5000   # no such slice
@@ -88,7 +115,7 @@ if [ ! -S daemon.s ]; then
   exit 1
 fi
 
-expect_exit 0 "$BIN" client --socket daemon.s submit good.trc --workers 2
+expect_exit 0 "$BIN" client --socket daemon.s submit good.trc --retries 2
 expect_stdout 'job: ' "client submit"
 JOB=$(sed -n 's/^job: //p' cli_stdout.txt)
 if [ -z "$JOB" ]; then
