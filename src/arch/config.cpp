@@ -7,10 +7,13 @@ namespace haccrg::arch {
 std::string GpuConfig::validate() const {
   auto fail = [](const char* msg) { return std::string(msg); };
   if (!is_pow2(warp_size)) return fail("warp_size must be a power of two");
+  // Lane masks are 32-bit words and the scheduler's ready-warp mask is 64.
+  if (warp_size > 32) return fail("warp_size must be at most 32");
   if (simd_width == 0 || warp_size % simd_width != 0)
     return fail("warp_size must be a multiple of simd_width");
   if (max_threads_per_sm % warp_size != 0)
     return fail("max_threads_per_sm must be a multiple of warp_size");
+  if (warps_per_sm() > 64) return fail("warps_per_sm must be at most 64");
   if (!is_pow2(shared_mem_banks)) return fail("shared_mem_banks must be a power of two");
   if (!is_pow2(l1_line) || !is_pow2(l2_line)) return fail("cache lines must be powers of two");
   if (l1_size % (l1_ways * l1_line) != 0) return fail("l1 size/ways/line mismatch");

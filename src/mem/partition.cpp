@@ -1,7 +1,5 @@
 #include "mem/partition.hpp"
 
-#include "mem/interconnect.hpp"
-
 namespace haccrg::mem {
 
 MemoryPartition::MemoryPartition(u32 id, const arch::GpuConfig& config)
@@ -69,7 +67,7 @@ std::optional<PartitionCompletion> MemoryPartition::cycle(Cycle now) {
   return std::nullopt;
 }
 
-void MemoryPartition::step(Interconnect& icnt, Cycle now) {
+void MemoryPartition::step_busy(Interconnect& icnt, Cycle now) {
   // Only pop a request the partition can actually take (back-pressure
   // stays in the interconnect queue).
   if (can_accept() && icnt.has_request(id_, now)) {

@@ -13,11 +13,10 @@
 #include "fault/fault.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
+#include "mem/interconnect.hpp"
 #include "mem/packets.hpp"
 
 namespace haccrg::mem {
-
-class Interconnect;
 
 /// A completed packet leaving the partition (needs a response to its SM
 /// unless it is shadow traffic).
@@ -51,7 +50,16 @@ class MemoryPartition {
   /// this partition's pipe and staging slot, so distinct partitions may
   /// step concurrently; responses reach the SM pipes when the engine
   /// commits them at the epoch barrier.
-  void step(Interconnect& icnt, Cycle now);
+  ///
+  /// An idle partition with no ripe request returns inline: with every
+  /// queue empty, cycle() starts no access, leaves the DRAM bus state
+  /// untouched (DramChannel::cycle returns before it on an empty queue)
+  /// and emits nothing.
+  void step(Interconnect& icnt, Cycle now) {
+    if (input_.empty() && done_queue_.empty() && dram_.idle() && !icnt.has_request(id_, now))
+      return;
+    step_busy(icnt, now);
+  }
 
   bool idle() const;
 
@@ -62,6 +70,8 @@ class MemoryPartition {
   void export_stats(StatSet& stats) const;
 
  private:
+  void step_busy(Interconnect& icnt, Cycle now);
+
   /// Extra cycles an atomic occupies the slice's RMW unit.
   u32 atomic_latency_;
   u32 l2_latency_;

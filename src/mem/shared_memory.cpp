@@ -22,26 +22,24 @@ void SharedMemory::clear(u32 addr, u32 bytes) {
 }
 
 u32 SharedMemory::conflict_cycles(const std::vector<u32>& lane_addrs) const {
-  // Count distinct word addresses per bank in one pass over the lanes
-  // (a warp is at most 32 accesses, so the duplicate scan is a short
-  // backward walk). Broadcast (same word from many lanes) costs one
-  // cycle; the answer is the most-loaded bank.
+  // Count distinct word addresses per bank in one pass over the lanes:
+  // each lane looks only through the words its own bank has already
+  // seen. Broadcast (same word from many lanes) costs one cycle; the
+  // answer is the most-loaded bank.
+  const size_t stride = lane_addrs.size();
+  if (bank_words_.size() < stride * banks_) bank_words_.resize(stride * banks_);
   bank_load_.assign(banks_, 0);
-  u32 worst = 0;
-  for (size_t i = 0; i < lane_addrs.size(); ++i) {
-    const u32 word = lane_addrs[i] / 4;
-    bool seen = false;
-    for (size_t j = 0; j < i; ++j) {
-      if (lane_addrs[j] / 4 == word) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;
-    const u32 load = ++bank_load_[word % banks_];
+  u32 worst = 1;
+  for (const u32 addr : lane_addrs) {
+    const u32 word = addr / 4;
+    const u32 bank = word & bank_mask_;
+    u32* words = bank_words_.data() + bank * stride;
+    u32& load = bank_load_[bank];
+    if (std::find(words, words + load, word) != words + load) continue;
+    words[load++] = word;
     worst = std::max(worst, load);
   }
-  return std::max(worst, 1u);
+  return worst;
 }
 
 }  // namespace haccrg::mem

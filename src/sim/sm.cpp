@@ -1,6 +1,7 @@
 #include "sim/sm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -30,6 +31,81 @@ trace::EventKind trace_kind_for(Opcode op) {
     case isa::TraceEventClass::kNone: break;
   }
   return trace::EventKind::kKernelEnd;  // unreachable for traced opcodes
+}
+
+/// Calls f(lane) for every set bit of `mask`, lowest lane first — the
+/// order of the full-width lane loop it replaces.
+template <typename F>
+inline void for_each_lane(u32 mask, F&& f) {
+  for (; mask != 0; mask &= mask - 1) f(static_cast<u32>(std::countr_zero(mask)));
+}
+
+/// dst = op(src0, src1 or imm) over the active lanes. The immediate test
+/// is made once per instruction; each lane reads its sources before its
+/// destination is written, so dst may alias either source.
+template <typename Op>
+inline void binary_lanes(WarpContext& warp, const Instr& ins, Op op) {
+  u32* dst = warp.reg_row(ins.dst);
+  const u32* a = warp.reg_row(ins.src0);
+  if (ins.src1_is_imm) {
+    const u32 b = ins.imm;
+    for_each_lane(warp.active, [&](u32 lane) { dst[lane] = op(a[lane], b); });
+  } else {
+    const u32* b = warp.reg_row(ins.src1);
+    for_each_lane(warp.active, [&](u32 lane) { dst[lane] = op(a[lane], b[lane]); });
+  }
+}
+
+/// dst = op(src0) over the active lanes.
+template <typename Op>
+inline void unary_lanes(WarpContext& warp, const Instr& ins, Op op) {
+  u32* dst = warp.reg_row(ins.dst);
+  const u32* a = warp.reg_row(ins.src0);
+  for_each_lane(warp.active, [&](u32 lane) { dst[lane] = op(a[lane]); });
+}
+
+/// The lane mask of active lanes where cmp(src0, src1 or imm) holds.
+template <typename Cmp>
+inline u32 compare_lanes(const WarpContext& warp, const Instr& ins, Cmp cmp) {
+  const u32* a = warp.reg_row(ins.src0);
+  u32 bits = 0;
+  if (ins.src1_is_imm) {
+    const u32 b = ins.imm;
+    for_each_lane(warp.active, [&](u32 lane) { bits |= u32{cmp(a[lane], b)} << lane; });
+  } else {
+    const u32* b = warp.reg_row(ins.src1);
+    for_each_lane(warp.active, [&](u32 lane) { bits |= u32{cmp(a[lane], b[lane])} << lane; });
+  }
+  return bits;
+}
+
+u32 setp_bits(const WarpContext& warp, const Instr& ins) {
+  const auto s = [](u32 v) { return static_cast<i32>(v); };
+  switch (ins.cmp()) {
+    case CmpOp::kEq: return compare_lanes(warp, ins, [](u32 a, u32 b) { return a == b; });
+    case CmpOp::kNe: return compare_lanes(warp, ins, [](u32 a, u32 b) { return a != b; });
+    case CmpOp::kLtU: return compare_lanes(warp, ins, [](u32 a, u32 b) { return a < b; });
+    case CmpOp::kLeU: return compare_lanes(warp, ins, [](u32 a, u32 b) { return a <= b; });
+    case CmpOp::kGtU: return compare_lanes(warp, ins, [](u32 a, u32 b) { return a > b; });
+    case CmpOp::kGeU: return compare_lanes(warp, ins, [](u32 a, u32 b) { return a >= b; });
+    case CmpOp::kLtS: return compare_lanes(warp, ins, [&](u32 a, u32 b) { return s(a) < s(b); });
+    case CmpOp::kLeS: return compare_lanes(warp, ins, [&](u32 a, u32 b) { return s(a) <= s(b); });
+    case CmpOp::kGtS: return compare_lanes(warp, ins, [&](u32 a, u32 b) { return s(a) > s(b); });
+    case CmpOp::kGeS: return compare_lanes(warp, ins, [&](u32 a, u32 b) { return s(a) >= s(b); });
+    case CmpOp::kLtF:
+      return compare_lanes(warp, ins, [](u32 a, u32 b) { return as_f32(a) < as_f32(b); });
+    case CmpOp::kLeF:
+      return compare_lanes(warp, ins, [](u32 a, u32 b) { return as_f32(a) <= as_f32(b); });
+    case CmpOp::kGtF:
+      return compare_lanes(warp, ins, [](u32 a, u32 b) { return as_f32(a) > as_f32(b); });
+    case CmpOp::kGeF:
+      return compare_lanes(warp, ins, [](u32 a, u32 b) { return as_f32(a) >= as_f32(b); });
+    case CmpOp::kEqF:
+      return compare_lanes(warp, ins, [](u32 a, u32 b) { return as_f32(a) == as_f32(b); });
+    case CmpOp::kNeF:
+      return compare_lanes(warp, ins, [](u32 a, u32 b) { return as_f32(a) != as_f32(b); });
+  }
+  return 0;
 }
 
 }  // namespace
@@ -101,7 +177,7 @@ bool Sm::try_launch_block(u32 block_id, Cycle now) {
     const u32 lanes = std::min(threads_left, warp_size);
     threads_left -= lanes;
     warp.init(warp_base + w, slot, block_id, w, lanes, env_.program->regs_used());
-    ++num_ready_;  // init() puts the warp in kReady
+    ready_mask_ |= u64{1} << warp.warp_slot();  // init() puts the warp in kReady
   }
 
   // HAccRG bookkeeping for the fresh tenant of this slot.
@@ -166,23 +242,23 @@ void Sm::deliver(const mem::Response& rsp, Cycle now) {
 }
 
 WarpContext* Sm::pick_ready_warp(Cycle now) {
-  const u32 n = static_cast<u32>(warps_.size());
-  for (u32 i = 0; i < n; ++i) {
-    WarpContext& warp = warps_[(rr_cursor_ + i) % n];
-    if (warp.state == WarpState::kReady && warp.ready_at <= now) {
-      rr_cursor_ = (warp.warp_slot() + 1) % n;
-      return &warp;
+  // Round robin over the kReady warps only: slots rr_cursor_..n-1, then
+  // 0..rr_cursor_-1, each in ascending order — the order of a scan of
+  // all n slots starting at the cursor.
+  const u64 from_cursor = ~u64{0} << rr_cursor_;
+  for (u64 mask : {ready_mask_ & from_cursor, ready_mask_ & ~from_cursor}) {
+    for (; mask != 0; mask &= mask - 1) {
+      WarpContext& warp = warps_[std::countr_zero(mask)];
+      if (warp.ready_at <= now) {
+        rr_cursor_ = warp.warp_slot() + 1 == warps_.size() ? 0 : warp.warp_slot() + 1;
+        return &warp;
+      }
     }
   }
   return nullptr;
 }
 
-void Sm::cycle(Cycle now) {
-  // Idle and memory-bound SMs leave without touching the warp array:
-  // with nothing resident or no warp in kReady the scheduler scan is a
-  // provable no-op (it neither issues nor moves the round-robin cursor).
-  if (resident_blocks_ == 0 || num_ready_ == 0) return;
-  if (now < issue_free_at_) return;
+void Sm::issue(Cycle now) {
   // Severe backpressure (packets the interconnect refused to take at
   // the last commit): stall issue until the backlog drains.
   if (env_.icnt->staged_requests(sm_id_) > 64) return;
@@ -219,7 +295,7 @@ void Sm::send_packet(mem::Packet pkt) {
   env_.icnt->stage_request(sm_id_, std::move(pkt));
 }
 
-void Sm::commit_epoch() {
+void Sm::commit_staged() {
   // Race records first: within one SM-cycle the sequential engine logs
   // the issue-time records (intra-warp WAW, shared RDU) before any
   // global RDU check fires, and only one instruction issues per cycle,
@@ -311,10 +387,6 @@ u32 Sm::special_value(const WarpContext& warp, SpecialReg which, u32 lane) const
   return 0;
 }
 
-u32 Sm::operand_value(const WarpContext& warp, const Instr& ins, u32 lane) const {
-  return ins.src1_is_imm ? ins.imm : warp.reg(ins.src1, lane);
-}
-
 u32 Sm::apply_atomic(AtomicOp op, u32 old, u32 operand, u32 compare) const {
   switch (op) {
     case AtomicOp::kAdd: return old + operand;
@@ -330,50 +402,83 @@ u32 Sm::apply_atomic(AtomicOp op, u32 old, u32 operand, u32 compare) const {
 }
 
 void Sm::exec_alu(WarpContext& warp, const Instr& ins) {
-  for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
-    if (!warp.lane_active(lane)) continue;
-    ++lane_instructions_;
-    const u32 a = warp.reg(ins.src0, lane);
-    const u32 b = operand_value(warp, ins, lane);
-    u32 result = 0;
-    switch (ins.op) {
-      case Opcode::kMov: result = ins.src1_is_imm ? ins.imm : a; break;
-      case Opcode::kAdd: result = a + b; break;
-      case Opcode::kSub: result = a - b; break;
-      case Opcode::kMul: result = a * b; break;
-      case Opcode::kMulHi: result = static_cast<u32>((u64(a) * u64(b)) >> 32); break;
-      case Opcode::kDiv: result = b == 0 ? 0 : a / b; break;
-      case Opcode::kRem: result = b == 0 ? 0 : a % b; break;
-      case Opcode::kMin: result = std::min(a, b); break;
-      case Opcode::kMax: result = std::max(a, b); break;
-      case Opcode::kAnd: result = a & b; break;
-      case Opcode::kOr: result = a | b; break;
-      case Opcode::kXor: result = a ^ b; break;
-      case Opcode::kNot: result = ~a; break;
-      case Opcode::kShl: result = a << (b & 31); break;
-      case Opcode::kShr: result = a >> (b & 31); break;
-      case Opcode::kSra: result = static_cast<u32>(static_cast<i32>(a) >> (b & 31)); break;
-      case Opcode::kFAdd: result = as_u32(as_f32(a) + as_f32(b)); break;
-      case Opcode::kFSub: result = as_u32(as_f32(a) - as_f32(b)); break;
-      case Opcode::kFMul: result = as_u32(as_f32(a) * as_f32(b)); break;
-      case Opcode::kFDiv: result = as_u32(as_f32(a) / as_f32(b)); break;
-      case Opcode::kFSqrt: result = as_u32(std::sqrt(as_f32(a))); break;
-      case Opcode::kFMin: result = as_u32(std::min(as_f32(a), as_f32(b))); break;
-      case Opcode::kFMax: result = as_u32(std::max(as_f32(a), as_f32(b))); break;
-      case Opcode::kFAbs: result = as_u32(std::fabs(as_f32(a))); break;
-      case Opcode::kFLog: result = as_u32(std::log(as_f32(a))); break;
-      case Opcode::kFExp: result = as_u32(std::exp(as_f32(a))); break;
-      case Opcode::kI2F: result = as_u32(static_cast<f32>(static_cast<i32>(a))); break;
-      case Opcode::kF2I: result = static_cast<u32>(static_cast<i32>(as_f32(a))); break;
-      case Opcode::kSpecial: result = special_value(warp, ins.special(), lane); break;
-      case Opcode::kParam: result = env_.launch->params[ins.imm]; break;
-      case Opcode::kSel:
-        result = ((warp.preds[ins.aux] >> lane) & 1) ? warp.reg(ins.src0, lane)
-                                                     : warp.reg(ins.src1, lane);
-        break;
-      default: break;
+  // One dispatch per instruction; the lane loops below walk the active
+  // mask. Unary ops and warp-uniform values never read src1.
+  lane_instructions_ += static_cast<u32>(std::popcount(warp.active));
+  const auto f = [](u32 v) { return as_f32(v); };
+  u32* dst = warp.reg_row(ins.dst);
+  const auto fill = [&](u32 base, u32 step) {
+    for_each_lane(warp.active, [&](u32 lane) { dst[lane] = base + step * lane; });
+  };
+  switch (ins.op) {
+    case Opcode::kMov:
+      if (ins.src1_is_imm)
+        fill(ins.imm, 0);
+      else
+        unary_lanes(warp, ins, [](u32 a) { return a; });
+      return;
+    case Opcode::kAdd: return binary_lanes(warp, ins, [](u32 a, u32 b) { return a + b; });
+    case Opcode::kSub: return binary_lanes(warp, ins, [](u32 a, u32 b) { return a - b; });
+    case Opcode::kMul: return binary_lanes(warp, ins, [](u32 a, u32 b) { return a * b; });
+    case Opcode::kMulHi:
+      return binary_lanes(warp, ins,
+                          [](u32 a, u32 b) { return static_cast<u32>((u64(a) * u64(b)) >> 32); });
+    case Opcode::kDiv:
+      return binary_lanes(warp, ins, [](u32 a, u32 b) { return b == 0 ? 0 : a / b; });
+    case Opcode::kRem:
+      return binary_lanes(warp, ins, [](u32 a, u32 b) { return b == 0 ? 0 : a % b; });
+    case Opcode::kMin: return binary_lanes(warp, ins, [](u32 a, u32 b) { return std::min(a, b); });
+    case Opcode::kMax: return binary_lanes(warp, ins, [](u32 a, u32 b) { return std::max(a, b); });
+    case Opcode::kAnd: return binary_lanes(warp, ins, [](u32 a, u32 b) { return a & b; });
+    case Opcode::kOr: return binary_lanes(warp, ins, [](u32 a, u32 b) { return a | b; });
+    case Opcode::kXor: return binary_lanes(warp, ins, [](u32 a, u32 b) { return a ^ b; });
+    case Opcode::kNot: return unary_lanes(warp, ins, [](u32 a) { return ~a; });
+    case Opcode::kShl: return binary_lanes(warp, ins, [](u32 a, u32 b) { return a << (b & 31); });
+    case Opcode::kShr: return binary_lanes(warp, ins, [](u32 a, u32 b) { return a >> (b & 31); });
+    case Opcode::kSra:
+      return binary_lanes(warp, ins, [](u32 a, u32 b) {
+        return static_cast<u32>(static_cast<i32>(a) >> (b & 31));
+      });
+    case Opcode::kFAdd:
+      return binary_lanes(warp, ins, [&](u32 a, u32 b) { return as_u32(f(a) + f(b)); });
+    case Opcode::kFSub:
+      return binary_lanes(warp, ins, [&](u32 a, u32 b) { return as_u32(f(a) - f(b)); });
+    case Opcode::kFMul:
+      return binary_lanes(warp, ins, [&](u32 a, u32 b) { return as_u32(f(a) * f(b)); });
+    case Opcode::kFDiv:
+      return binary_lanes(warp, ins, [&](u32 a, u32 b) { return as_u32(f(a) / f(b)); });
+    case Opcode::kFSqrt: return unary_lanes(warp, ins, [&](u32 a) { return as_u32(std::sqrt(f(a))); });
+    case Opcode::kFMin:
+      return binary_lanes(warp, ins, [&](u32 a, u32 b) { return as_u32(std::min(f(a), f(b))); });
+    case Opcode::kFMax:
+      return binary_lanes(warp, ins, [&](u32 a, u32 b) { return as_u32(std::max(f(a), f(b))); });
+    case Opcode::kFAbs: return unary_lanes(warp, ins, [&](u32 a) { return as_u32(std::fabs(f(a))); });
+    case Opcode::kFLog: return unary_lanes(warp, ins, [&](u32 a) { return as_u32(std::log(f(a))); });
+    case Opcode::kFExp: return unary_lanes(warp, ins, [&](u32 a) { return as_u32(std::exp(f(a))); });
+    case Opcode::kI2F:
+      return unary_lanes(warp, ins,
+                         [](u32 a) { return as_u32(static_cast<f32>(static_cast<i32>(a))); });
+    case Opcode::kF2I:
+      return unary_lanes(warp, ins,
+                         [&](u32 a) { return static_cast<u32>(static_cast<i32>(f(a))); });
+    case Opcode::kSpecial: {
+      // tid, gtid and lane grow by one per lane; the rest are warp-uniform.
+      const SpecialReg which = ins.special();
+      const bool per_lane =
+          which == SpecialReg::kTid || which == SpecialReg::kGTid || which == SpecialReg::kLane;
+      fill(special_value(warp, which, 0), per_lane ? 1 : 0);
+      return;
     }
-    warp.reg(ins.dst, lane) = result;
+    case Opcode::kParam: fill(env_.launch->params[ins.imm], 0); return;
+    case Opcode::kSel: {
+      const u32 pred = warp.preds[ins.aux];
+      const u32* a = warp.reg_row(ins.src0);
+      const u32* b = warp.reg_row(ins.src1);
+      for_each_lane(warp.active,
+                    [&](u32 lane) { dst[lane] = ((pred >> lane) & 1) ? a[lane] : b[lane]; });
+      return;
+    }
+    default: fill(0, 0); return;
   }
 }
 
@@ -438,12 +543,11 @@ void Sm::exec_shared_mem(WarpContext& warp, const Instr& ins, Cycle now) {
 
   scratch_accesses_.clear();
   scratch_smem_addrs_.clear();
-  for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
-    if (!warp.lane_active(lane)) continue;
-    ++lane_instructions_;
+  lane_instructions_ += static_cast<u32>(std::popcount(warp.active));
+  for_each_lane(warp.active, [&](u32 lane) {
     const u32 block_addr = warp.reg(ins.src0, lane) + ins.imm;
     const u32 local = block.smem_base + block_addr;
-    if (block_addr + width > block.smem_bytes) continue;  // out of the block's region
+    if (block_addr + width > block.smem_bytes) return;  // out of the block's region
     scratch_smem_addrs_.push_back(local);
     scratch_accesses_.push_back({lane, local, static_cast<u8>(width)});
 
@@ -463,7 +567,7 @@ void Sm::exec_shared_mem(WarpContext& warp, const Instr& ins, Cycle now) {
     } else {
       warp.reg(ins.dst, lane) = width == 1 ? smem_.read_u8(local) : smem_.read_u32(local);
     }
-  }
+  });
 
   if (is_atomic)
     ++shared_atomics_;
@@ -571,9 +675,8 @@ void Sm::exec_global_mem(WarpContext& warp, const Instr& ins, Cycle now) {
   if (is_atomic) op.atomic_op = ins.atomic();
 
   scratch_accesses_.clear();
-  for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
-    if (!warp.lane_active(lane)) continue;
-    ++lane_instructions_;
+  lane_instructions_ += static_cast<u32>(std::popcount(warp.active));
+  for_each_lane(warp.active, [&](u32 lane) {
     const Addr addr = warp.reg(ins.src0, lane) + ins.imm;
     scratch_accesses_.push_back({lane, addr, static_cast<u8>(width)});
 
@@ -583,7 +686,7 @@ void Sm::exec_global_mem(WarpContext& warp, const Instr& ins, Cycle now) {
     dl.operand = (is_store || is_atomic) ? warp.reg(ins.src1, lane) : 0;
     dl.compare = is_atomic ? warp.reg(ins.src2, lane) : 0;
     op.lanes.push_back(dl);
-  }
+  });
 
   if (is_atomic)
     ++global_atomics_;
@@ -892,35 +995,9 @@ void Sm::execute(WarpContext& warp, Cycle now) {
 
   switch (ins.op) {
     case Opcode::kSetp: {
-      for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
-        if (!warp.lane_active(lane)) continue;
-        ++lane_instructions_;
-        const u32 a = warp.reg(ins.src0, lane);
-        const u32 b = operand_value(warp, ins, lane);
-        bool hold = false;
-        switch (ins.cmp()) {
-          case CmpOp::kEq: hold = a == b; break;
-          case CmpOp::kNe: hold = a != b; break;
-          case CmpOp::kLtU: hold = a < b; break;
-          case CmpOp::kLeU: hold = a <= b; break;
-          case CmpOp::kGtU: hold = a > b; break;
-          case CmpOp::kGeU: hold = a >= b; break;
-          case CmpOp::kLtS: hold = static_cast<i32>(a) < static_cast<i32>(b); break;
-          case CmpOp::kLeS: hold = static_cast<i32>(a) <= static_cast<i32>(b); break;
-          case CmpOp::kGtS: hold = static_cast<i32>(a) > static_cast<i32>(b); break;
-          case CmpOp::kGeS: hold = static_cast<i32>(a) >= static_cast<i32>(b); break;
-          case CmpOp::kLtF: hold = as_f32(a) < as_f32(b); break;
-          case CmpOp::kLeF: hold = as_f32(a) <= as_f32(b); break;
-          case CmpOp::kGtF: hold = as_f32(a) > as_f32(b); break;
-          case CmpOp::kGeF: hold = as_f32(a) >= as_f32(b); break;
-          case CmpOp::kEqF: hold = as_f32(a) == as_f32(b); break;
-          case CmpOp::kNeF: hold = as_f32(a) != as_f32(b); break;
-        }
-        if (hold)
-          warp.preds[ins.dst] |= 1u << lane;
-        else
-          warp.preds[ins.dst] &= ~(1u << lane);
-      }
+      lane_instructions_ += static_cast<u32>(std::popcount(warp.active));
+      u32& preds = warp.preds[ins.dst];
+      preds = (preds & ~warp.active) | setp_bits(warp, ins);
       ++warp.pc;
       return;
     }
@@ -978,8 +1055,7 @@ void Sm::execute(WarpContext& warp, Cycle now) {
         e.warp_in_block = warp.warp_in_block();
         e.pc = warp.pc;
       }
-      for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
-        if (!warp.lane_active(lane)) continue;
+      for_each_lane(warp.active, [&](u32 lane) {
         const u32 slot =
             block.thread_base + warp.warp_in_block() * env_.gpu->warp_size + lane;
         if (acquire)
@@ -989,7 +1065,7 @@ void Sm::execute(WarpContext& warp, Cycle now) {
         if (env_.trace != nullptr)
           e.lanes.push_back(
               {static_cast<u8>(lane), acquire ? warp.reg(ins.src0, lane) : 0, false, 0});
-      }
+      });
       if (env_.trace != nullptr) stage_trace(std::move(e));
       ++warp.pc;
       return;

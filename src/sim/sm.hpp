@@ -77,12 +77,22 @@ class Sm {
 
   /// Advance one core cycle. Safe to call concurrently with other SMs'
   /// cycle()/deliver(); cross-SM effects are staged until commit_epoch.
-  void cycle(Cycle now);
+  /// Idle, memory-bound and issue-port-busy SMs leave here without a
+  /// call: with no warp in kReady (which includes "nothing resident") or
+  /// the port busy, issue() would neither issue nor move the cursor.
+  void cycle(Cycle now) {
+    if (ready_mask_ == 0 || now < issue_free_at_) return;
+    issue(now);
+  }
 
   /// End-of-cycle barrier (serial, engine calls SMs in id order): drain
   /// staged race records and replay deferred global-memory work. The
   /// staged packets stay queued for the engine's interconnect sweep.
-  void commit_epoch();
+  /// Most SM-cycles stage nothing and return inline.
+  void commit_epoch() {
+    if (deferred_count_ == 0 && race_staging_.empty()) return;
+    commit_staged();
+  }
 
   /// Write this SM's staged issue-phase trace events. Called serially in
   /// SM-id order between the parallel SM phase and the commit loop, so
@@ -123,11 +133,14 @@ class Sm {
 
  private:
   // --- Scheduling -----------------------------------------------------------
+  /// cycle()'s issue path: backpressure stall, warp pick, execute.
+  void issue(Cycle now);
+  /// commit_epoch()'s body, for an SM with staged records or deferred ops.
+  void commit_staged();
   WarpContext* pick_ready_warp(Cycle now);
   void execute(WarpContext& warp, Cycle now);
 
   // --- Execution helpers ------------------------------------------------------
-  u32 operand_value(const WarpContext& warp, const isa::Instr& ins, u32 lane) const;
   u32 special_value(const WarpContext& warp, isa::SpecialReg which, u32 lane) const;
   void exec_alu(WarpContext& warp, const isa::Instr& ins);
   void exec_shared_mem(WarpContext& warp, const isa::Instr& ins, Cycle now);
@@ -188,11 +201,14 @@ class Sm {
   /// so steady-state global-memory issue performs no heap allocation.
   DeferredGlobalOp& acquire_deferred();
 
-  /// Single mutation point for warp scheduling state; keeps the ready
-  /// count the scheduler's early-out relies on exact.
+  /// Single mutation point for warp scheduling state (besides block
+  /// launch); keeps ready_mask_ equal to the set of kReady warps.
   void set_state(WarpContext& warp, WarpState s) {
-    if (warp.state == WarpState::kReady) --num_ready_;
-    if (s == WarpState::kReady) ++num_ready_;
+    const u64 bit = u64{1} << warp.warp_slot();
+    if (s == WarpState::kReady)
+      ready_mask_ |= bit;
+    else
+      ready_mask_ &= ~bit;
     warp.state = s;
   }
 
@@ -213,7 +229,9 @@ class Sm {
   u32 resident_blocks_ = 0;
   u32 blocks_completed_ = 0;
   u32 rr_cursor_ = 0;
-  u32 num_ready_ = 0;  ///< warps in WarpState::kReady (scheduler early-out)
+  /// Bit w set iff warps_[w] is in WarpState::kReady. GpuConfig::validate
+  /// caps warps_per_sm() at 64, the mask's width.
+  u64 ready_mask_ = 0;
   Cycle issue_free_at_ = 0;
   u64 token_counter_ = 0;
 

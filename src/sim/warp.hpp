@@ -55,8 +55,9 @@ class WarpContext {
 
   u32& reg(u32 index, u32 lane) { return regs[static_cast<size_t>(index) * 32 + lane]; }
   u32 reg(u32 index, u32 lane) const { return regs[static_cast<size_t>(index) * 32 + lane]; }
-
-  bool lane_active(u32 lane) const { return (active >> lane) & 1; }
+  /// Register `index` of every lane (32 entries, indexed by lane).
+  u32* reg_row(u32 index) { return regs.data() + static_cast<size_t>(index) * 32; }
+  const u32* reg_row(u32 index) const { return regs.data() + static_cast<size_t>(index) * 32; }
 
   // Execution state (owned by the SM's executor).
   u32 pc = 0;

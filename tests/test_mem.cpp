@@ -5,9 +5,12 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <random>
 #include <utility>
 
 #include "arch/config.hpp"
+#include "isa/builder.hpp"
 #include "mem/cache.hpp"
 #include "mem/coalescer.hpp"
 #include "mem/device_memory.hpp"
@@ -277,6 +280,62 @@ TEST(SharedMemoryBanks, BroadcastIsFree) {
   EXPECT_EQ(smem.conflict_cycles(addrs), 1u);
 }
 
+/// The O(n^2) definition conflict_cycles must agree with: per bank, the
+/// number of distinct words, counting a word once however many lanes ask.
+u32 naive_conflict_cycles(const std::vector<u32>& addrs, u32 banks) {
+  u32 worst = 1;
+  for (u32 bank = 0; bank < banks; ++bank) {
+    std::vector<u32> words;
+    for (u32 addr : addrs)
+      if ((addr / 4) % banks == bank &&
+          std::find(words.begin(), words.end(), addr / 4) == words.end())
+        words.push_back(addr / 4);
+    worst = std::max(worst, static_cast<u32>(words.size()));
+  }
+  return worst;
+}
+
+TEST(SharedMemoryBanks, ConflictCyclesMatchNaiveReference) {
+  for (const u32 banks : {16u, 32u}) {
+    SCOPED_TRACE(banks);
+    SharedMemory smem(16 * 1024, banks);
+    std::vector<std::vector<u32>> cases;
+    cases.push_back({});                     // empty
+    cases.push_back({44});                   // one lane
+    cases.push_back(std::vector<u32>(32, 128));  // broadcast
+    std::vector<u32> one_bank, in_word, mixed;
+    for (u32 lane = 0; lane < 32; ++lane) {
+      one_bank.push_back(lane * banks * 4 + 8);  // distinct words, one bank
+      in_word.push_back(256 + lane % 4);         // byte addresses inside a word
+      mixed.push_back((lane % 3) * banks * 4 + (lane % 2) * 4);
+    }
+    cases.push_back(one_bank);
+    cases.push_back(in_word);
+    cases.push_back(mixed);
+    // Seeded random lane sets: few distinct words (heavy duplication) up
+    // to the whole scratchpad, at every lane count.
+    std::mt19937 rng(12345);
+    for (u32 trial = 0; trial < 2000; ++trial) {
+      const u32 lanes = trial % 33;
+      const u32 span = 4u << (trial % 13);
+      std::vector<u32> addrs;
+      for (u32 lane = 0; lane < lanes; ++lane) addrs.push_back(rng() % span);
+      cases.push_back(addrs);
+    }
+    for (const auto& addrs : cases) {
+      ASSERT_EQ(smem.conflict_cycles(addrs), naive_conflict_cycles(addrs, banks))
+          << "lanes " << addrs.size();
+    }
+    // The fixed cases' expected answers, spelled out.
+    EXPECT_EQ(smem.conflict_cycles(cases[0]), 1u);
+    EXPECT_EQ(smem.conflict_cycles(cases[1]), 1u);
+    EXPECT_EQ(smem.conflict_cycles(cases[2]), 1u);
+    EXPECT_EQ(smem.conflict_cycles(cases[3]), 32u);
+    EXPECT_EQ(smem.conflict_cycles(cases[4]), 1u);
+    EXPECT_EQ(smem.conflict_cycles(cases[5]), 3u);
+  }
+}
+
 TEST(SharedMemoryBanks, Storage) {
   SharedMemory smem(1024, 16);
   smem.write_u32(16, 0x12345678);
@@ -450,6 +509,43 @@ TEST(Config, ValidationCatchesBadGeometry) {
   cfg = arch::GpuConfig{};
   cfg.num_mem_partitions = 0;
   EXPECT_NE(cfg.validate(), "");
+  // Lane masks are 32 bits wide: a 64-lane warp is a power of two that
+  // divides max_threads_per_sm, and must still be refused.
+  cfg = arch::GpuConfig{};
+  cfg.warp_size = 64;
+  EXPECT_NE(cfg.validate(), "");
+  // The scheduler's ready mask holds 64 warps: 1024 threads of 8-lane
+  // warps is 128.
+  cfg = arch::GpuConfig{};
+  cfg.warp_size = 8;
+  cfg.simd_width = 8;
+  EXPECT_EQ(cfg.warps_per_sm(), 128u);
+  EXPECT_NE(cfg.validate(), "");
+  cfg.max_threads_per_sm = 512;  // 64 warps: the widest accepted
+  EXPECT_EQ(cfg.validate(), "");
+}
+
+TEST(Config, LaunchRejectsGeometryTheInterpreterCannotRepresent) {
+  for (const u32 warp_size : {64u, 8u}) {
+    SCOPED_TRACE(warp_size);
+    arch::GpuConfig cfg;
+    cfg.num_sms = 1;
+    cfg.device_mem_bytes = 1024 * 1024;
+    cfg.warp_size = warp_size;
+    cfg.simd_width = 8;
+    sim::Gpu gpu(cfg, rd::HaccrgConfig{});
+    isa::KernelBuilder kb("noop");
+    kb.exit();
+    const isa::Program prog = kb.build();
+    sim::LaunchConfig launch;
+    launch.program = &prog;
+    launch.grid_dim = 1;
+    launch.block_dim = 64;
+    const sim::SimResult result = gpu.launch(launch);
+    EXPECT_FALSE(result.completed);
+    EXPECT_NE(result.error.find("invalid gpu config: "), std::string::npos) << result.error;
+    EXPECT_EQ(result.error, "invalid gpu config: " + cfg.validate());
+  }
 }
 
 TEST(Config, PartitionInterleavingCoversAllSlices) {
